@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-hotpath bench-serve bench-resume bench-obs bench-integrity fuzz-smoke lint cover tier1 plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
+.PHONY: build test race bench bench-json bench-hotpath bench-serve bench-resume bench-obs bench-integrity fuzz-smoke lint cover tier1 perfbench-check plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
 
 build:
 	$(GO) build ./...
@@ -35,20 +35,23 @@ bench-json:
 # fairness index, per-tenant and aggregate MB/s, cancel latency).
 bench-serve:
 	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out BENCH_serve.json -resume-out '' -obs-out ''
+		-serve-out BENCH_serve.json -resume-out '' -obs-out '' \
+		-integrity-out ''
 
 # Fault-tolerance artifact alone: regenerates BENCH_resume.json (resume
 # wall vs full-rerun wall, resent-bytes fraction, retry/fail-fast counts).
 bench-resume:
 	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out '' -resume-out BENCH_resume.json -obs-out ''
+		-serve-out '' -resume-out BENCH_resume.json -obs-out '' \
+		-integrity-out ''
 
 # Observability-overhead artifact alone: regenerates BENCH_obs.json
 # (instrumented-but-disabled vs baseline wall, acceptance < 2%, plus
 # span/metric coverage from one enabled run).
 bench-obs:
 	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out '' -resume-out '' -obs-out BENCH_obs.json
+		-serve-out '' -resume-out '' -obs-out BENCH_obs.json \
+		-integrity-out ''
 
 # End-to-end integrity artifact alone: regenerates BENCH_integrity.json
 # (corrupted-link digest identity, injected-vs-detected reconciliation,
@@ -101,6 +104,12 @@ cover:
 # The repo's tier-1 verification command.
 tier1:
 	$(GO) build ./... && $(GO) test ./...
+
+# The benchmark under perfbench/ is a nested module, so `go build ./...`
+# never compiles it; vet and test it on its own against this checkout's
+# internal/core API.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Godoc coverage gate: fails when the facade, campaign engine, planner,
 # codec registry, szx codec, serve daemon, campaign journal, or the

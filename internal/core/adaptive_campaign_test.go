@@ -44,20 +44,19 @@ func plannedModel(t testing.TB) *quality.Model {
 	return m
 }
 
-// RunPlannedCampaign must execute the plan's per-field bounds, verify
+// An adaptive campaign must execute the plan's per-field bounds, verify
 // them, and report predicted vs. actual — the closed loop's smoke test.
 func TestRunPlannedCampaignPredictedVsActual(t *testing.T) {
 	fields := mixedFields(t, 32, 5)
 	model := plannedModel(t)
 	link := &wan.Link{Name: "t", BandwidthMBps: 1000, PerFileOverheadSec: 0.02, Concurrency: 4}
 	const floor = 70.0
-	res, err := RunPlannedCampaign(context.Background(), fields, PlanOptions{
-		PipelineOptions: PipelineOptions{
-			CampaignOptions: CampaignOptions{Workers: 4},
-			Transport:       &SimulatedWANTransport{Link: link, Timescale: -1},
-		},
-		Model:   model,
-		Planner: planner.Options{MinPSNR: floor, Seed: 5},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		Workers:   4,
+		Transport: &SimulatedWANTransport{Link: link, Timescale: -1},
+		Adaptive:  true,
+		Model:     model,
+		Planner:   planner.Options{MinPSNR: floor, Seed: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,16 +125,16 @@ func TestAdaptivePlanBeatsFixedBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := PipelineOptions{
-		CampaignOptions: CampaignOptions{Workers: 4},
-		Transport:       &SimulatedWANTransport{Link: link, Timescale: -1},
+	base := CampaignSpec{
+		Workers:   4,
+		Transport: &SimulatedWANTransport{Link: link, Timescale: -1},
 	}
 	ctx := context.Background()
-	adaptive, err := RunPlannedCampaign(ctx, fields, PlanOptions{
-		PipelineOptions: base,
-		Model:           model,
-		Planner:         popts,
-	})
+	adaptiveSpec := base
+	adaptiveSpec.Adaptive = true
+	adaptiveSpec.Model = model
+	adaptiveSpec.Planner = popts
+	adaptive, err := Run(ctx, fields, adaptiveSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestAdaptivePlanBeatsFixedBaseline(t *testing.T) {
 	fixedOpts.RelErrorBound = fixedEB
 	fixedOpts.GroupStrategy = adaptive.Plan.GroupStrategy
 	fixedOpts.GroupParam = adaptive.Plan.GroupParam
-	fixed, err := RunPipelinedCampaign(ctx, fields, fixedOpts)
+	fixed, err := Run(ctx, fields, fixedOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +181,11 @@ func TestAdaptivePlanBeatsFixedBaseline(t *testing.T) {
 // bounds), not an error.
 func TestRunPlannedCampaignUntrained(t *testing.T) {
 	fields := mixedFields(t, 48, 5)
-	res, err := RunPlannedCampaign(context.Background(), fields, PlanOptions{
-		PipelineOptions: PipelineOptions{CampaignOptions: CampaignOptions{Workers: 2}},
-		Model:           nil,
-		Planner:         planner.Options{MinPSNR: 70},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		Workers:  2,
+		Adaptive: true,
+		Model:    nil,
+		Planner:  planner.Options{MinPSNR: 70},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
-	"time"
+	"fmt"
 
 	"ocelot/internal/datagen"
-	"ocelot/internal/faas"
 	"ocelot/internal/grouping"
+	"ocelot/internal/journal"
+	"ocelot/internal/obs"
 	"ocelot/internal/planner"
 	"ocelot/internal/sz"
 
@@ -15,31 +15,6 @@ import (
 	// resolve and mixed-codec archives decompress via registry dispatch.
 	_ "ocelot/internal/szx"
 )
-
-// CampaignOptions configures a real (in-process) compress-group-decompress
-// campaign over actual data.
-//
-// Deprecated: new code should build a CampaignSpec and call Run or Submit;
-// CampaignOptions survives as the compatibility surface for the original
-// RunCampaign API (and as the engine-internal projection of a spec).
-type CampaignOptions struct {
-	// RelErrorBound is applied relative to each field's value range.
-	RelErrorBound float64
-	// Predictor for the SZ pipeline; 0 = interp. Ignored by codecs without
-	// a predictor stage.
-	Predictor sz.Predictor
-	// Codec names the registered compressor every field uses ("" = sz3).
-	// Planned campaigns override it per field with the plan's decisions.
-	Codec string
-	// Workers bounds compression/decompression parallelism; ≤ 0 = 4.
-	Workers int
-	// GroupStrategy and GroupParam control packing; 0 = ByWorldSize with
-	// world = Workers.
-	GroupStrategy grouping.Strategy
-	GroupParam    int64
-	// Now injects a clock for tests; nil = time.Now.
-	Now func() time.Time
-}
 
 // CampaignResult reports a real campaign run.
 type CampaignResult struct {
@@ -59,14 +34,14 @@ type CampaignResult struct {
 	MaxRelError     float64 // max observed |err| / field range, ≤ RelErrorBound on success
 	Metadata        string
 
-	// Streaming-engine accounting (populated by both campaign paths).
-	Pipelined   bool    // true when run by RunPipelinedCampaign
+	// Stage-engine accounting (populated by every engine).
+	Pipelined   bool    // true when run by EnginePipelined
 	PackSec     float64 // time spent packing group archives
 	TransferSec float64 // transfer-stage span (first send start to last send end)
 	LinkSec     float64 // transport-reported seconds (e.g. simulated WAN time)
 	WallSec     float64 // end-to-end wall time of the campaign
 
-	// Chunk fan-out accounting (populated when PipelineOptions.ChunkMB > 0).
+	// Chunk fan-out accounting (populated when CampaignSpec.ChunkMB > 0).
 	Chunks          int // total compression chunks across all fields
 	CompressWorkers int // fan-out endpoint worker count (0 = fan-out off)
 	// ReconDigest is an FNV-64a digest of every field's reconstruction,
@@ -74,8 +49,9 @@ type CampaignResult struct {
 	// fan-out campaigns over the same fields produced bit-identical
 	// decompressed output iff their digests match — the check the
 	// parallel-compression artifact uses to prove worker count never
-	// changes the bytes. Zero when chunk fan-out is off: monolithic runs
-	// do not pay the digest pass.
+	// changes the bytes. Journaled and resumed campaigns digest too (see
+	// below); zero otherwise, so plain monolithic runs do not pay the
+	// digest pass.
 	ReconDigest uint64
 	// OverlapSec is the measured concurrency between stages: the sum of
 	// per-stage spans minus the run's span. Zero means strictly serial
@@ -106,7 +82,7 @@ type CampaignResult struct {
 	DegradedFields  []string // members the bound audit quarantined and re-shipped lossless
 	DegradedBytes   int64    // bytes the lossless quarantine escapes shipped
 
-	// Planner accounting (populated by RunPlannedCampaign): the plan's
+	// Planner accounting (populated by Adaptive campaigns): the plan's
 	// predictions beside the measured outcome, so every adaptive run
 	// reports predicted vs. actual.
 	Planned         bool    // true when a predictive plan chose the configs
@@ -131,120 +107,94 @@ type CampaignResult struct {
 	Metrics map[string]float64 `json:",omitempty"`
 }
 
-// Spec projects the legacy options onto the unified CampaignSpec.
-func (o CampaignOptions) Spec() CampaignSpec {
-	return CampaignSpec{
-		RelErrorBound: o.RelErrorBound,
-		Predictor:     o.Predictor,
-		Codec:         o.Codec,
-		Workers:       o.Workers,
-		GroupStrategy: o.GroupStrategy,
-		GroupParam:    o.GroupParam,
-		Now:           o.Now,
+// Run executes a campaign described by spec and blocks until it finishes
+// — Submit followed by waiting for the handle, for every one-shot caller
+// (CLI, examples, benchmarks). Cancellation via ctx unwinds the stages
+// promptly, including mid-send on simulated WAN transports; Run returns
+// once they have.
+func Run(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*CampaignResult, error) {
+	c, err := Submit(ctx, fields, spec)
+	if err != nil {
+		return nil, err
 	}
+	<-c.Done()
+	return c.Result()
 }
 
-// RunCampaign compresses all fields in parallel with the real SZ pipeline,
-// packs the streams into groups, unpacks and decompresses them, and
-// verifies every value honours the error bound. It is the actual data path
-// that the simulation models at scale. Execution runs on the streaming
-// engine in barrier mode: packing waits for every stream so groups follow
-// grouping.Plan exactly.
-//
-// Deprecated: equivalent to Run with Engine: EngineBarrier and
-// TransferStreams: 1; new code should use Run (or Submit for a handle).
-func RunCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOptions) (*CampaignResult, error) {
-	spec := opts.Spec()
-	spec.Engine = EngineBarrier
-	spec.TransferStreams = 1
-	return Run(ctx, fields, spec)
-}
-
-// Orchestrator runs campaigns through the funcX-style fabric: compression
-// executes on the source endpoint, decompression on the destination
-// endpoint, exactly like Ocelot's remote orchestration (Section V.3).
-type Orchestrator struct {
-	svc      *faas.Service
-	sourceEP string
-	destEP   string
-}
-
-// Function names registered on the fabric.
-const (
-	fnCompress   = "ocelot.compress"
-	fnDecompress = "ocelot.decompress"
-)
-
-type compressArgs struct {
-	data []float64
-	dims []int
-	cfg  sz.Config
-}
-
-type decompressArgs struct {
-	stream []byte
-}
-
-// NewOrchestrator registers Ocelot's functions on the fabric and binds the
-// source/destination endpoints (which must already be deployed).
-func NewOrchestrator(svc *faas.Service, sourceEP, destEP string) (*Orchestrator, error) {
-	if svc == nil {
-		return nil, errors.New("core: nil faas service")
-	}
-	if err := svc.RegisterFunction(fnCompress, func(ctx context.Context, payload interface{}) (interface{}, error) {
-		args, ok := payload.(compressArgs)
-		if !ok {
-			return nil, errors.New("ocelot.compress: bad payload")
+// execute runs one campaign for handle c: it loads the resume manifest,
+// runs the adaptive plan pass when the spec asks for one, then the stage
+// graph. rs is a private copy, so the plan's grouping decision may
+// overwrite its knob.
+func (c *Campaign) execute(ctx context.Context, rs resolvedSpec) (*CampaignResult, error) {
+	st := runState{handle: c}
+	if path := rs.spec.ResumeFrom; path != "" {
+		m, err := journal.Load(path)
+		if err != nil {
+			return nil, fmt.Errorf("core: resume: %w", err)
 		}
-		stream, _, err := sz.Compress(args.data, args.dims, args.cfg)
-		return stream, err
-	}); err != nil {
-		return nil, err
-	}
-	if err := svc.RegisterFunction(fnDecompress, func(ctx context.Context, payload interface{}) (interface{}, error) {
-		args, ok := payload.(decompressArgs)
-		if !ok {
-			return nil, errors.New("ocelot.decompress: bad payload")
+		if len(m.Fields) != len(c.fields) {
+			return nil, fmt.Errorf("core: journal %s records %d fields, campaign has %d",
+				path, len(m.Fields), len(c.fields))
 		}
-		recon, _, err := sz.Decompress(args.stream)
-		return recon, err
-	}); err != nil {
-		return nil, err
+		st.manifest = m
 	}
-	return &Orchestrator{svc: svc, sourceEP: sourceEP, destEP: destEP}, nil
-}
+	if !rs.spec.Adaptive {
+		return runCampaign(ctx, c.fields, &rs, st)
+	}
 
-// CompressRemote submits a compression task to the source endpoint and
-// waits for the stream.
-func (o *Orchestrator) CompressRemote(ctx context.Context, data []float64, dims []int, cfg sz.Config) ([]byte, error) {
-	id, err := o.svc.SubmitContext(ctx, o.sourceEP, fnCompress, compressArgs{data: data, dims: dims, cfg: cfg})
+	c.setState(CampaignPlanning)
+	planStart := rs.now()
+	_, planSpan := rs.spec.Obs.StartSpan(ctx, "plan", obs.Int("fields", int64(len(c.fields))))
+	popts := rs.planner
+	if m := st.manifest; m != nil {
+		// Resumed adaptive campaign: execution settings are pinned from the
+		// journal's begin record — never re-planned, so the resumed half is
+		// byte-compatible with the completed half. The plan pass only
+		// re-prices the REMAINING work (Done mask) so predicted-vs-actual
+		// stays meaningful for the resume itself.
+		rs.strategy, rs.param = grouping.Strategy(m.Strategy), m.GroupParam
+		st.perField = make([]fieldSetting, len(m.Fields))
+		for i, fp := range m.Fields {
+			st.perField[i] = fieldSetting{relEB: fp.RelEB, predictor: sz.Predictor(fp.Predictor), codec: fp.Codec}
+		}
+		popts.Done, _ = m.DoneFields()
+	}
+	plan, err := planner.Build(c.fields, rs.spec.Model, popts)
+	planSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	res, err := o.svc.Wait(ctx, id)
-	if err != nil {
+	planSec := rs.now().Sub(planStart).Seconds()
+	if err := ctx.Err(); err != nil {
+		// A campaign cancelled during its plan pass must not start moving
+		// bytes.
 		return nil, err
 	}
-	stream, ok := res.([]byte)
-	if !ok {
-		return nil, errors.New("core: compress returned wrong type")
+	if st.manifest == nil {
+		rs.strategy, rs.param = plan.GroupStrategy, plan.GroupParam
+		st.perField = make([]fieldSetting, len(plan.Fields))
+		for i, fp := range plan.Fields {
+			st.perField[i] = fieldSetting{relEB: fp.RelEB, predictor: fp.Predictor, codec: fp.Codec}
+		}
 	}
-	return stream, nil
-}
 
-// DecompressRemote submits a decompression task to the destination endpoint.
-func (o *Orchestrator) DecompressRemote(ctx context.Context, stream []byte) ([]float64, error) {
-	id, err := o.svc.SubmitContext(ctx, o.destEP, fnDecompress, decompressArgs{stream: stream})
+	res, err := runCampaign(ctx, c.fields, &rs, st)
 	if err != nil {
 		return nil, err
 	}
-	res, err := o.svc.Wait(ctx, id)
-	if err != nil {
-		return nil, err
+	res.Planned = true
+	res.PlanSec = planSec
+	res.Plan = plan
+	res.PredRatio = plan.PredRatio
+	res.PredCompressSec = plan.PredCompressSec
+	res.PredTransferSec = plan.PredTransferSec
+	res.PredWallSec = plan.PredWallSec
+	if link := rs.planner.Link; link != nil && len(res.GroupBytes) > 0 {
+		est, err := link.Estimate(res.GroupBytes, rs.planner.Seed)
+		if err != nil {
+			return nil, err
+		}
+		res.LinkEstSec = est.Seconds
 	}
-	recon, ok := res.([]float64)
-	if !ok {
-		return nil, errors.New("core: decompress returned wrong type")
-	}
-	return recon, nil
+	return res, nil
 }

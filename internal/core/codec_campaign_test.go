@@ -29,13 +29,11 @@ func codecCampaignFields(t *testing.T, n int) []*datagen.Field {
 // compress, pack, ship, decompress via registry dispatch, verify bounds.
 func TestCampaignSzxCodec(t *testing.T) {
 	fields := codecCampaignFields(t, 6)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       4,
-			GroupParam:    3,
-			Codec:         szx.Name,
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3,
+		Workers:       4,
+		GroupParam:    3,
+		Codec:         szx.Name,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,13 +58,11 @@ func TestCampaignSzxCodec(t *testing.T) {
 func TestCampaignSzxChunkFanout(t *testing.T) {
 	fields := codecCampaignFields(t, 4)
 	chunkMB := float64(fields[0].RawBytes()) / 4 / 1e6
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       4,
-			GroupParam:    2,
-			Codec:         szx.Name,
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         4,
+		GroupParam:      2,
+		Codec:           szx.Name,
 		ChunkMB:         chunkMB,
 		CompressWorkers: 4,
 	})
@@ -96,15 +92,13 @@ func TestCampaignMixedCodecs(t *testing.T) {
 			settings[i].codec = szx.Name
 		}
 	}
-	res, err := runCampaign(context.Background(), fields, CampaignOptions{
-		Workers:    4,
-		GroupParam: 2,
-	}, campaignMode{
-		pipelined:       true,
-		transport:       NopTransport{},
-		transferStreams: 2,
-		perField:        settings,
-	})
+	// Adaptive with no campaign bound: every field runs on its setting.
+	rs, err := resolve(CampaignSpec{Workers: 4, GroupParam: 2, TransferStreams: 2, Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runCampaign(context.Background(), fields, rs,
+		runState{perField: settings, handle: newCampaign(fields, rs.now)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +114,9 @@ func TestCampaignMixedCodecs(t *testing.T) {
 // any compression starts, citing the valid names.
 func TestCampaignUnknownCodecFailsFast(t *testing.T) {
 	fields := codecCampaignFields(t, 2)
-	_, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Codec:         "zstd",
-		},
+	_, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3,
+		Codec:         "zstd",
 	})
 	if err == nil {
 		t.Fatal("want error for unknown codec")

@@ -120,56 +120,28 @@ type Campaign struct {
 }
 
 // Submit starts a campaign asynchronously and returns its handle. The
-// spec is validated synchronously — a daemon can reject a bad submission
-// before anything runs — and the campaign then executes under a context
-// derived from ctx: cancelling ctx (or calling Cancel) unwinds the stages
-// promptly, including mid-send on simulated WAN transports and mid-queue
-// on the chunk fan-out fabric.
+// spec is resolved and validated synchronously — a daemon can reject a bad
+// submission before anything runs — and the campaign then executes under a
+// context derived from ctx: cancelling ctx (or calling Cancel) unwinds the
+// stages promptly, including mid-send on simulated WAN transports and
+// mid-queue on the chunk fan-out fabric.
 func Submit(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*Campaign, error) {
 	if len(fields) == 0 {
 		return nil, errors.New("core: no fields")
 	}
-	if err := spec.Validate(); err != nil {
+	rs, err := resolve(spec)
+	if err != nil {
 		return nil, err
 	}
-	now := spec.Now
-	if now == nil {
-		now = time.Now
-	}
+	c := newCampaign(fields, rs.now)
 	cctx, cancel := context.WithCancel(ctx)
-	c := &Campaign{
-		fields:    fields,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		now:       now,
-		progress:  &campaignProgress{},
-		state:     CampaignPending,
-		submitted: now(),
-	}
-	for _, f := range fields {
-		c.rawBytes += int64(f.RawBytes())
-	}
-
-	mode := spec.mode()
-	mode.progress = c.progress
-	mode.observe = func(g *pipeline.Group) {
-		c.mu.Lock()
-		c.group = g
-		c.state = CampaignRunning
-		c.mu.Unlock()
-	}
-	planning := func() {
-		c.mu.Lock()
-		c.state = CampaignPlanning
-		c.mu.Unlock()
-	}
-
+	c.cancel = cancel
 	go func() {
 		defer cancel()
-		res, err := runSpec(cctx, fields, spec, mode, planning)
+		res, err := c.execute(cctx, *rs)
 		c.mu.Lock()
 		c.res, c.err = res, err
-		c.finished = now()
+		c.finished = c.now()
 		switch {
 		case err == nil:
 			c.state = CampaignDone
@@ -182,6 +154,38 @@ func Submit(ctx context.Context, fields []*datagen.Field, spec CampaignSpec) (*C
 		close(c.done)
 	}()
 	return c, nil
+}
+
+// newCampaign returns a pending handle over fields, stamped submitted now.
+func newCampaign(fields []*datagen.Field, now func() time.Time) *Campaign {
+	c := &Campaign{
+		fields:    fields,
+		done:      make(chan struct{}),
+		now:       now,
+		progress:  &campaignProgress{},
+		state:     CampaignPending,
+		submitted: now(),
+	}
+	for _, f := range fields {
+		c.rawBytes += int64(f.RawBytes())
+	}
+	return c
+}
+
+// setState moves the handle to a non-terminal lifecycle state.
+func (c *Campaign) setState(s CampaignState) {
+	c.mu.Lock()
+	c.state = s
+	c.mu.Unlock()
+}
+
+// observe hands the handle the run's stage graph, so Status can serve
+// live per-stage snapshots, and marks the campaign running.
+func (c *Campaign) observe(g *pipeline.Group) {
+	c.mu.Lock()
+	c.group = g
+	c.state = CampaignRunning
+	c.mu.Unlock()
 }
 
 // Cancel stops the campaign: in-flight stage work unwinds on the

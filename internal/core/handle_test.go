@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
+	"ocelot/internal/grouping"
 	"ocelot/internal/wan"
 )
 
@@ -132,6 +134,38 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := Submit(context.Background(), fields, CampaignSpec{RelErrorBound: 1e-3, Engine: 99}); err == nil {
 		t.Error("Submit with unknown engine succeeded")
+	}
+}
+
+// Non-finite bounds, unknown strategies and bad chunk sizes must be
+// rejected synchronously, with no handle returned: otherwise a NaN bound
+// compresses, packs and ships before failing in decompress as
+// "sz: corrupt stream", and the rest fail only inside the handle.
+func TestValidateRejectsBadSpecs(t *testing.T) {
+	fields := pipelineFields(t, 1, 40)
+	cases := []struct {
+		name string
+		spec CampaignSpec
+	}{
+		{"nan-bound", CampaignSpec{RelErrorBound: math.NaN()}},
+		{"inf-bound", CampaignSpec{RelErrorBound: math.Inf(1)}},
+		{"neg-inf-bound", CampaignSpec{RelErrorBound: math.Inf(-1)}},
+		{"nan-bound-adaptive", CampaignSpec{RelErrorBound: math.NaN(), Adaptive: true}},
+		{"unknown-strategy", CampaignSpec{RelErrorBound: 1e-3, GroupStrategy: grouping.Strategy(99)}},
+		{"nan-chunk", CampaignSpec{RelErrorBound: 1e-3, ChunkMB: math.NaN()}},
+		{"negative-chunk", CampaignSpec{RelErrorBound: 1e-3, ChunkMB: -1}},
+		{"inf-chunk", CampaignSpec{RelErrorBound: 1e-3, ChunkMB: math.Inf(1)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.spec.Validate(); err == nil {
+				t.Error("Validate accepted the spec")
+			}
+			h, err := Submit(context.Background(), fields, tc.spec)
+			if err == nil || h != nil {
+				t.Errorf("Submit = (%v, %v), want an error and no handle", h, err)
+			}
+		})
 	}
 }
 

@@ -3,17 +3,14 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ocelot/internal/codec"
 	"ocelot/internal/datagen"
-	"ocelot/internal/faas"
 	"ocelot/internal/grouping"
 	"ocelot/internal/integrity"
 	"ocelot/internal/journal"
@@ -27,95 +24,6 @@ import (
 
 // StageTiming is the per-stage ledger threaded into CampaignResult.
 type StageTiming = pipeline.StageStats
-
-// PipelineOptions configures the streaming campaign engine.
-//
-// Deprecated: new code should build a CampaignSpec and call Run or Submit;
-// PipelineOptions survives as the compatibility surface for the original
-// RunPipelinedCampaign / RunSequentialCampaign API.
-type PipelineOptions struct {
-	CampaignOptions
-	// Transport ships packed archives; nil means NopTransport (in-process).
-	Transport Transport
-	// TransferStreams is the number of goroutines offering archives to the
-	// transport at once — the Globus "concurrency" knob. ≤ 0 defaults to
-	// the transport's own hint (a simulated WAN hints its link's
-	// concurrency), else 4. Streams beyond the link's concurrency do not
-	// add bandwidth: SimulatedWANTransport admits at most
-	// Link.Concurrency sends at a time and queues the rest.
-	TransferStreams int
-	// StageBuffer is the capacity of the channels between stages; ≤ 0
-	// means the worker count (enough slack to decouple stage cadences
-	// without unbounded buffering).
-	StageBuffer int
-	// ChunkMB, when > 0, enables chunk-parallel compression: every field is
-	// decomposed into ~ChunkMB-of-raw-data blocks (sz.PlanChunks) that are
-	// batch-submitted to an in-process funcX-style endpoint and compressed
-	// by its workers concurrently, so a single wide field no longer
-	// serializes on one worker. The assembled chunked container is
-	// byte-identical for any worker count (see sz.AssembleChunks).
-	ChunkMB float64
-	// CompressWorkers is the fan-out endpoint's worker count (the effective
-	// compression parallelism when ChunkMB > 0); ≤ 0 defaults to Workers.
-	CompressWorkers int
-	// ChunkEndpoint tunes the deployed fan-out endpoint — cold/warm start
-	// costs (the fabric's container-warming model) and queue depth. Its
-	// Workers field is overridden by CompressWorkers. Ignored when
-	// ChunkMB ≤ 0.
-	ChunkEndpoint faas.EndpointConfig
-}
-
-// campaignMode selects between the barrier (classic) and streaming
-// (pipelined) execution of the shared stage graph.
-type campaignMode struct {
-	pipelined       bool
-	sequential      bool // hard barrier between transfer and decompress too
-	transport       Transport
-	transferStreams int
-	buffer          int
-	// perField overrides the global RelErrorBound/Predictor with planner
-	// decisions, one entry per field (planned campaigns).
-	perField []fieldSetting
-	// measurePSNR also scores reconstruction PSNR in the verify stage so
-	// planned campaigns can report predicted-vs-actual quality.
-	measurePSNR bool
-	// chunkBytes > 0 fans compression out chunk-wise over a faas endpoint
-	// with compressWorkers workers tuned by endpoint.
-	chunkBytes      int64
-	compressWorkers int
-	endpoint        faas.EndpointConfig
-	// weight > 0 ships archives via SendWeighted on weighted transports, so
-	// a multi-tenant scheduler can give campaigns proportional link shares.
-	weight float64
-	// journalPath, when non-empty, persists a durable manifest
-	// (internal/journal) of every packed/sent/acked group; resumePath names
-	// the journal a resumed campaign loads; journalMeta is stamped into the
-	// begin record; manifest is the loaded resume state (runSpec fills it
-	// when resumePath is set).
-	journalPath string
-	resumePath  string
-	journalMeta map[string]string
-	manifest    *journal.Manifest
-	// retry and fallbacks make the transfer stage (and the chunk fan-out)
-	// fault-tolerant: transient errors retry with exponential backoff, and
-	// an exhausted or permanently failed transport fails over to the next.
-	retry     sentinel.RetryPolicy
-	fallbacks []Transport
-	// observe, when set, receives the run's pipeline group right after
-	// creation — the campaign handle uses it to serve live Stats snapshots.
-	observe func(*pipeline.Group)
-	// progress, when set, receives live transfer counters for Status.
-	progress *campaignProgress
-	// obs, when set, records lifecycle spans and campaign metrics
-	// (CampaignSpec.Obs). nil costs pointer checks only.
-	obs *obs.Obs
-	// integrity frames every packed archive with CRC-32C digests at pack
-	// time and verifies the frame before decompressing (on unless
-	// CampaignSpec.NoIntegrity); audit tunes the post-decompress pointwise
-	// bound audit and its quarantine escape.
-	integrity bool
-	audit     BoundAudit
-}
 
 // campaignMetrics holds the campaign counters resolved once per run, so
 // the stage hot paths pay an atomic add — not a registry lookup — per
@@ -164,24 +72,6 @@ type campaignProgress struct {
 	degraded      atomic.Int64 // fields quarantined lossless by the bound audit
 }
 
-// chunkMode derives the chunk fan-out portion of a campaignMode from the
-// caller-facing options.
-func (o PipelineOptions) chunkMode() (chunkBytes int64, workers int, ep faas.EndpointConfig) {
-	if o.ChunkMB <= 0 {
-		return 0, 0, faas.EndpointConfig{}
-	}
-	workers = o.CompressWorkers
-	if workers <= 0 {
-		workers = o.Workers
-	}
-	if workers <= 0 {
-		workers = 4
-	}
-	ep = o.ChunkEndpoint
-	ep.Workers = workers
-	return int64(o.ChunkMB * 1e6), workers, ep
-}
-
 // fieldSetting is one field's planned compression configuration.
 type fieldSetting struct {
 	relEB     float64
@@ -189,54 +79,9 @@ type fieldSetting struct {
 	codec     string // registry name; "" inherits the campaign codec
 }
 
-// Spec projects the legacy pipeline options onto the unified CampaignSpec
-// (Engine left at the zero value, EnginePipelined).
-func (o PipelineOptions) Spec() CampaignSpec {
-	spec := o.CampaignOptions.Spec()
-	spec.Transport = o.Transport
-	spec.TransferStreams = o.TransferStreams
-	spec.StageBuffer = o.StageBuffer
-	spec.ChunkMB = o.ChunkMB
-	spec.CompressWorkers = o.CompressWorkers
-	spec.ChunkEndpoint = o.ChunkEndpoint
-	return spec
-}
-
-// RunPipelinedCampaign is the streaming version of RunCampaign: fields are
-// compressed, packed into group archives, shipped over the transport, and
-// decompressed/verified by concurrently running stages connected with
-// bounded channels — a packed group starts its WAN transfer while later
-// fields are still compressing, hiding compression cost inside transfer
-// time exactly as the paper's end-to-end pipeline does. The result carries
-// per-stage timings and the measured overlap.
-//
-// Deprecated: equivalent to Run with Engine: EnginePipelined; new code
-// should use Run (or Submit for a handle).
-func RunPipelinedCampaign(ctx context.Context, fields []*datagen.Field, opts PipelineOptions) (*CampaignResult, error) {
-	spec := opts.Spec()
-	spec.Engine = EnginePipelined
-	return Run(ctx, fields, spec)
-}
-
-// RunSequentialCampaign executes the same campaign with hard barriers
-// between every phase — compress all, pack all, transfer all, decompress
-// all — the pre-pipelining behaviour. Each phase still runs its internal
-// parallelism; only the phases are serialized. It exists as the honest
-// baseline the pipelined engine is benchmarked against on the same
-// transport.
-//
-// Deprecated: equivalent to Run with Engine: EngineSequential; new code
-// should use Run (or Submit for a handle).
-func RunSequentialCampaign(ctx context.Context, fields []*datagen.Field, opts PipelineOptions) (*CampaignResult, error) {
-	spec := opts.Spec()
-	spec.Engine = EngineSequential
-	return Run(ctx, fields, spec)
-}
-
 // Items flowing between stages.
 type compressedItem struct {
 	idx    int
-	name   string
 	stream []byte
 }
 
@@ -248,7 +93,6 @@ type packedGroup struct {
 
 type sentGroup struct {
 	packedGroup
-	linkSec float64
 	// delivered is what actually arrived at the destination — the verify
 	// stage checksums these bytes, not the send buffer, so in-flight
 	// corruption is observable. nil (plain Transport) means the archive
@@ -336,197 +180,81 @@ func (ps *packState) emitGroup(ctx context.Context, idxs []int, emit func(packed
 	return emit(g)
 }
 
+// runState is what one execution adds to its resolved spec: the loaded
+// resume manifest (nil on a fresh run), the adaptive plan's per-field
+// settings (nil unless adaptive), and the handle whose hooks observe the
+// run and whose progress counters it advances.
+type runState struct {
+	manifest *journal.Manifest
+	perField []fieldSetting
+	handle   *Campaign
+}
+
+// fieldConfig is one field's resolved compression settings.
+type fieldConfig struct {
+	relEB, absEB float64
+	valueRange   float64 // the field's value range; 1 when degenerate
+	pred         sz.Predictor
+	codec        codec.Codec
+}
+
+// campaignRun is one execution of the stage graph: the resolved spec, the
+// per-field table, and the ledgers the stages share. The stage builders
+// are its methods; runCampaign drives them.
+type campaignRun struct {
+	rs       *resolvedSpec
+	obs      *obs.Obs // rs.spec.Obs
+	fields   []*datagen.Field
+	cfgs     []fieldConfig
+	names    []string // archive member names, by field index
+	byName   map[string]int
+	planned  bool // per-field plan settings; verify also scores PSNR
+	jw       *journal.Writer
+	cm       campaignMetrics
+	progress *campaignProgress
+	// digestOn enables the per-field reconstruction digest pass: fan-out
+	// campaigns pay it to prove worker-count invariance, journaled and
+	// resumed campaigns so a resumed half can be compared digest-for-digest
+	// with an uninterrupted run.
+	digestOn     bool
+	reconDigests []uint64
+
+	chunks  atomic.Int64
+	linkMu  sync.Mutex
+	linkSec float64
+}
+
 // runCampaign executes the shared compress → pack → transfer →
-// decompress/verify stage graph. Barrier mode reproduces the classic
-// RunCampaign semantics (pack waits for every stream, groups follow
-// grouping.Plan); pipelined mode packs and ships groups as soon as they
-// fill.
-func runCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOptions, mode campaignMode) (*CampaignResult, error) {
-	if len(fields) == 0 {
-		return nil, errors.New("core: no fields")
-	}
-	if mode.perField != nil && len(mode.perField) != len(fields) {
-		return nil, fmt.Errorf("core: %d field settings for %d fields", len(mode.perField), len(fields))
-	}
-	if opts.RelErrorBound <= 0 && mode.perField == nil {
-		return nil, errors.New("core: relative error bound must be positive")
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	strategy := opts.GroupStrategy
-	if strategy == 0 {
-		strategy = grouping.ByWorldSize
-	}
-	switch strategy {
-	case grouping.ByWorldSize, grouping.ByTargetSize, grouping.SingleArchive:
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %v", strategy)
-	}
-	param := opts.GroupParam
-	if param <= 0 {
-		param = int64(workers)
-	}
-	buffer := mode.buffer
-	if buffer <= 0 {
-		buffer = workers
-	}
-
-	// Resolve the campaign codec once; per-field plan decisions override
-	// it below. Every name is validated against the registry before any
-	// compression starts, so a typo fails fast instead of mid-pipeline.
-	globalCodec, err := codec.Normalize(opts.Codec)
+// decompress/verify stage graph. The engines differ only in the pack
+// policy (barrier packs after every stream, pipelined as groups fill) and
+// the sequential engine's barrier before decompression.
+func runCampaign(ctx context.Context, fields []*datagen.Field, rs *resolvedSpec, st runState) (*CampaignResult, error) {
+	r, res, err := newCampaignRun(fields, rs, st)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-
-	res := &CampaignResult{Files: len(fields), Pipelined: mode.pipelined, Codec: globalCodec}
-	absEBs := make([]float64, len(fields))
-	relEBs := make([]float64, len(fields))
-	ranges := make([]float64, len(fields))
-	preds := make([]sz.Predictor, len(fields))
-	codecs := make([]codec.Codec, len(fields))
-	codecNames := make([]string, len(fields))
-	byName := make(map[string]int, len(fields))
-	ps := &packState{names: make([]string, len(fields)), streams: make(map[int][]byte)}
-	for i, f := range fields {
-		res.RawBytes += int64(f.RawBytes())
-		r := metrics.ComputeRange(f.Data).Range
-		if r <= 0 {
-			r = 1
-		}
-		ranges[i] = r
-		relEB := opts.RelErrorBound
-		preds[i] = opts.Predictor
-		codecName := globalCodec
-		if mode.perField != nil {
-			if s := mode.perField[i]; s.relEB > 0 {
-				relEB = s.relEB
-				if s.predictor != 0 {
-					preds[i] = s.predictor
-				}
-				if s.codec != "" {
-					codecName = s.codec
-				}
-			}
-		}
-		if relEB <= 0 {
-			return nil, fmt.Errorf("core: field %d has no error bound", i)
-		}
-		if codecs[i], err = codec.Lookup(codecName); err != nil {
-			return nil, fmt.Errorf("core: field %d: %w", i, err)
-		}
-		// Report the codec the campaign actually ran: the common per-field
-		// codec, or "mixed" when a plan split the fields across codecs.
-		if i == 0 {
-			res.Codec = codecName
-		} else if codecName != res.Codec {
-			res.Codec = "mixed"
-		}
-		absEBs[i] = relEB * r
-		relEBs[i] = relEB
-		codecNames[i] = codecName
-		ps.names[i] = f.ID() + ".sz"
-		byName[ps.names[i]] = i
+	ps := &packState{names: r.names, streams: make(map[int][]byte), obs: r.obs, integrity: rs.integrity}
+	missing, err := r.openJournal(st.manifest, ps, res)
+	if err != nil {
+		return nil, err
 	}
-
-	// Fault-tolerance bookkeeping. The spec fingerprint guards resumes: a
-	// journal written under one spec refuses to resume under another. The
-	// manifest (when resuming) tells us which fields acked groups already
-	// cover — only the rest is re-executed — and the journal writer records
-	// this incarnation's progress durably before each step proceeds.
-	journaling := mode.journalPath != "" || mode.manifest != nil
-	var hash string
-	if journaling {
-		hash = specFingerprint(fields, mode, strategy, param, opts.RelErrorBound, opts.Predictor, globalCodec)
+	if r.jw != nil {
+		defer r.jw.Close()
 	}
-	reconDigests := make([]uint64, len(fields))
-	missing := make([]int, 0, len(fields))
-	if m := mode.manifest; m != nil {
-		if len(m.Fields) != len(fields) {
-			return nil, fmt.Errorf("core: journal records %d fields, campaign has %d", len(m.Fields), len(fields))
-		}
-		for i, fp := range m.Fields {
-			if fp.Name != ps.names[i] {
-				return nil, fmt.Errorf("core: journal field %d is %q, campaign has %q", i, fp.Name, ps.names[i])
-			}
-		}
-		if err := m.CheckSpec(hash); err != nil {
-			return nil, fmt.Errorf("core: resume %s: %w", mode.resumePath, err)
-		}
-		done, doneDigests := m.DoneFields()
-		copy(reconDigests, doneDigests)
-		for i := range fields {
-			if !done[i] {
-				missing = append(missing, i)
-			}
-		}
-		ps.idOffset = m.MaxGroupID() + 1
-		ps.nextID = ps.idOffset
-		res.Resumed = true
-		res.SkippedGroups = m.AckedGroups()
-		res.SkippedBytes = m.AckedBytes()
-	} else {
-		for i := range fields {
-			missing = append(missing, i)
-		}
-	}
-
-	var jw *journal.Writer
-	if mode.journalPath != "" {
-		if mode.manifest != nil && mode.journalPath == mode.resumePath {
-			// Resumed incarnation extending its own journal: append-only.
-			if jw, err = journal.OpenAppend(mode.journalPath); err == nil {
-				err = jw.Resume()
-			}
-		} else {
-			plans := make([]journal.FieldPlan, len(fields))
-			for i := range fields {
-				plans[i] = journal.FieldPlan{Name: ps.names[i], RelEB: relEBs[i],
-					Predictor: int(preds[i]), Codec: codecNames[i]}
-			}
-			if jw, err = journal.Create(mode.journalPath); err == nil {
-				err = jw.Begin(hash, mode.engineName(), int(strategy), param, plans, mode.journalMeta)
-			}
-			if err == nil && mode.manifest != nil {
-				// Resume journaling to a new path: replay the acked state so
-				// the fresh journal stands alone.
-				err = replayAcked(jw, mode.manifest)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: journal %s: %w", mode.journalPath, err)
-		}
-		if mode.obs != nil {
-			jw.SetMetrics(mode.obs.Metrics)
-		}
-		defer jw.Close()
-	}
-	ps.journal = jw
-	ps.obs = mode.obs
-	ps.integrity = mode.integrity
 
 	// Observability: the root span covers the whole stage graph (the ctx
 	// rebind parents every stage and per-item span under it), and the
 	// campaign counter family is resolved once so stage workers pay one
 	// atomic add per event. A nil bundle leaves cm all-nil no-ops.
-	cm := newCampaignMetrics(mode.obs)
-	cm.fields.Add(int64(len(missing)))
-	cm.rawBytes.Add(res.RawBytes)
-	ctx, rootSpan := mode.obs.StartSpan(ctx, "campaign",
-		obs.Int("fields", int64(len(fields))), obs.String("engine", mode.engineName()))
+	r.cm.fields.Add(int64(len(missing)))
+	r.cm.rawBytes.Add(res.RawBytes)
+	ctx, rootSpan := r.obs.StartSpan(ctx, "campaign",
+		obs.Int("fields", int64(len(fields))), obs.String("engine", rs.spec.Engine.String()))
 	defer rootSpan.End()
-	if mode.obs != nil {
-		mode.retry.Metrics = mode.obs.Metrics
-		mode.endpoint.Metrics = mode.obs.Metrics
-		for _, tr := range append([]Transport{mode.transport}, mode.fallbacks...) {
-			if st, ok := tr.(*SimulatedWANTransport); ok {
-				st.adoptMetrics(mode.obs.Metrics)
+	if r.obs != nil {
+		for _, tr := range rs.transports {
+			if sim, ok := tr.(*SimulatedWANTransport); ok {
+				sim.adoptMetrics(r.obs.Metrics)
 			}
 		}
 	}
@@ -535,44 +263,208 @@ func runCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOpti
 		// Every field was acked before this incarnation started: nothing to
 		// re-execute. The digest fold over the journal's recorded digests is
 		// identical to the uninterrupted campaign's.
-		if jw != nil {
-			if err := jw.Done(); err != nil {
-				return nil, fmt.Errorf("core: journal %s: %w", mode.journalPath, err)
-			}
+		if err := r.finishJournal(); err != nil {
+			return nil, err
 		}
-		res.ReconDigest = foldDigests(reconDigests)
-		if mode.obs != nil && mode.obs.Metrics != nil {
-			res.Metrics = mode.obs.Metrics.Snapshot()
+		res.ReconDigest = foldDigests(r.reconDigests)
+		if r.obs != nil && r.obs.Metrics != nil {
+			res.Metrics = r.obs.Metrics.Snapshot()
 		}
 		return res, nil
 	}
 
-	wallStart := now()
-	g := pipeline.NewGroupWithClock(ctx, now)
-	if mode.observe != nil {
-		mode.observe(g)
-	}
-
-	src := pipeline.Emit(g, buffer, missing)
-
+	wallStart := rs.now()
 	var fan *chunkFanout
-	var totalChunks atomic.Int64
-	var retriesTotal, failoversTotal atomic.Int64
-	if mode.chunkBytes > 0 {
-		var err error
-		if fan, err = newChunkFanout(mode.endpoint); err != nil {
+	if rs.chunkBytes > 0 {
+		if fan, err = newChunkFanout(rs.endpoint); err != nil {
 			return nil, err
 		}
 		defer fan.close()
 	}
-	compress := pipeline.Stage(g, pipeline.Config{Name: "compress", Workers: workers, Buffer: buffer}, src,
+	g := pipeline.NewGroupWithClock(ctx, rs.now)
+	st.handle.observe(g)
+	compressed := r.compressStage(g, pipeline.Emit(g, rs.buffer, missing), fan)
+	sent := r.transferStage(g, packStage(g, compressed, ps, rs, missing))
+	if rs.spec.Engine == EngineSequential {
+		sent = sequentialBarrier(g, sent, rs.buffer)
+	}
+	verified := pipeline.Collect(g, r.decompressStage(g, sent))
+	if err := g.Wait(); err != nil {
+		return nil, err
+	}
+	res.WallSec = rs.now().Sub(wallStart).Seconds()
+	if err := r.assemble(res, *verified, ps, missing, g.Stats()); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// newCampaignRun resolves every field's bound, predictor, and codec —
+// the campaign's, or the plan's per-field override — before any
+// compression starts, so a bad setting fails fast instead of mid-pipeline.
+func newCampaignRun(fields []*datagen.Field, rs *resolvedSpec, st runState) (*campaignRun, *CampaignResult, error) {
+	if st.perField != nil && len(st.perField) != len(fields) {
+		return nil, nil, fmt.Errorf("core: %d field settings for %d fields", len(st.perField), len(fields))
+	}
+	run := &campaignRun{
+		rs:           rs,
+		obs:          rs.spec.Obs,
+		fields:       fields,
+		cfgs:         make([]fieldConfig, len(fields)),
+		names:        make([]string, len(fields)),
+		byName:       make(map[string]int, len(fields)),
+		planned:      st.perField != nil,
+		cm:           newCampaignMetrics(rs.spec.Obs),
+		progress:     st.handle.progress,
+		digestOn:     rs.chunkBytes > 0 || rs.spec.Journal != "" || st.manifest != nil,
+		reconDigests: make([]uint64, len(fields)),
+	}
+	res := &CampaignResult{Files: len(fields), Pipelined: rs.spec.Engine == EnginePipelined, Codec: rs.codec}
+	for i, f := range fields {
+		res.RawBytes += int64(f.RawBytes())
+		r := metrics.ComputeRange(f.Data).Range
+		if r <= 0 {
+			r = 1
+		}
+		relEB, pred, codecName := rs.spec.RelErrorBound, rs.spec.Predictor, rs.codec
+		if st.perField != nil {
+			if s := st.perField[i]; s.relEB > 0 {
+				relEB = s.relEB
+				if s.predictor != 0 {
+					pred = s.predictor
+				}
+				if s.codec != "" {
+					codecName = s.codec
+				}
+			}
+		}
+		if relEB <= 0 {
+			return nil, nil, fmt.Errorf("core: field %d has no error bound", i)
+		}
+		cdc, err := codec.Lookup(codecName)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: field %d: %w", i, err)
+		}
+		// Report the codec the campaign actually ran: the common per-field
+		// codec, or "mixed" when a plan split the fields across codecs.
+		if i == 0 {
+			res.Codec = codecName
+		} else if codecName != res.Codec {
+			res.Codec = "mixed"
+		}
+		run.cfgs[i] = fieldConfig{relEB: relEB, absEB: relEB * r, valueRange: r, pred: pred, codec: cdc}
+		run.names[i] = f.ID() + ".sz"
+		run.byName[run.names[i]] = i
+	}
+	return run, res, nil
+}
+
+// openJournal reconciles a loaded resume manifest with this run and opens
+// this incarnation's journal. The spec fingerprint guards resumes: a
+// journal written under one spec refuses to resume under another. The
+// manifest tells which fields acked groups already cover — their recorded
+// digests seed the fold and only the rest is returned for execution — and
+// the journal writer records this incarnation's progress durably before
+// each step proceeds.
+func (r *campaignRun) openJournal(m *journal.Manifest, ps *packState, res *CampaignResult) ([]int, error) {
+	rs := r.rs
+	var hash string
+	if rs.spec.Journal != "" || m != nil {
+		hash = specFingerprint(r.fields, rs, r.planned)
+	}
+	missing := make([]int, 0, len(r.fields))
+	if m == nil {
+		for i := range r.fields {
+			missing = append(missing, i)
+		}
+	} else {
+		for i, fp := range m.Fields {
+			if fp.Name != r.names[i] {
+				return nil, fmt.Errorf("core: journal field %d is %q, campaign has %q", i, fp.Name, r.names[i])
+			}
+		}
+		if err := m.CheckSpec(hash); err != nil {
+			return nil, fmt.Errorf("core: resume %s: %w", rs.spec.ResumeFrom, err)
+		}
+		done, doneDigests := m.DoneFields()
+		copy(r.reconDigests, doneDigests)
+		for i := range r.fields {
+			if !done[i] {
+				missing = append(missing, i)
+			}
+		}
+		// New groups are numbered after the journal's so ids stay unique
+		// across incarnations.
+		ps.idOffset = m.MaxGroupID() + 1
+		ps.nextID = ps.idOffset
+		res.Resumed = true
+		res.SkippedGroups = m.AckedGroups()
+		res.SkippedBytes = m.AckedBytes()
+	}
+
+	path := rs.spec.Journal
+	if path == "" {
+		return missing, nil
+	}
+	var err error
+	if m != nil && path == rs.spec.ResumeFrom {
+		// Resumed incarnation extending its own journal: append-only.
+		if r.jw, err = journal.OpenAppend(path); err == nil {
+			err = r.jw.Resume()
+		}
+	} else {
+		plans := make([]journal.FieldPlan, len(r.fields))
+		for i, fc := range r.cfgs {
+			plans[i] = journal.FieldPlan{Name: r.names[i], RelEB: fc.relEB,
+				Predictor: int(fc.pred), Codec: fc.codec.Name()}
+		}
+		if r.jw, err = journal.Create(path); err == nil {
+			err = r.jw.Begin(hash, rs.spec.Engine.String(), int(rs.strategy), rs.param, plans, rs.spec.JournalMeta)
+		}
+		if err == nil && m != nil {
+			// Resume journaling to a new path: replay the acked state so
+			// the fresh journal stands alone.
+			err = replayAcked(r.jw, m)
+		}
+	}
+	if err != nil {
+		if r.jw != nil {
+			r.jw.Close()
+		}
+		return nil, fmt.Errorf("core: journal %s: %w", path, err)
+	}
+	if r.obs != nil {
+		r.jw.SetMetrics(r.obs.Metrics)
+	}
+	ps.journal = r.jw
+	return missing, nil
+}
+
+// finishJournal records the campaign's completion, if it journals.
+func (r *campaignRun) finishJournal() error {
+	if r.jw == nil {
+		return nil
+	}
+	if err := r.jw.Done(); err != nil {
+		return fmt.Errorf("core: journal %s: %w", r.rs.spec.Journal, err)
+	}
+	return nil
+}
+
+// compressStage encodes each pending field with its configured codec —
+// in the stage worker, or fanned out chunk-wise over fan when the spec
+// enables chunking.
+func (r *campaignRun) compressStage(g *pipeline.Group, src <-chan int, fan *chunkFanout) <-chan compressedItem {
+	rs := r.rs
+	return pipeline.Stage(g, pipeline.Config{Name: "compress", Workers: rs.workers, Buffer: rs.buffer}, src,
 		func(ctx context.Context, i int) (compressedItem, error) {
-			ctx, span := mode.obs.StartSpan(ctx, "compress",
-				obs.String("field", fields[i].ID()), obs.String("codec", codecNames[i]))
+			f, fc := r.fields[i], r.cfgs[i]
+			ctx, span := r.obs.StartSpan(ctx, "compress",
+				obs.String("field", f.ID()), obs.String("codec", fc.codec.Name()))
 			defer span.End()
-			cfg := sz.DefaultConfig(absEBs[i])
-			if preds[i] != 0 {
-				cfg.Predictor = preds[i]
+			cfg := sz.DefaultConfig(fc.absEB)
+			if fc.pred != 0 {
+				cfg.Predictor = fc.pred
 			}
 			var stream []byte
 			var err error
@@ -583,368 +475,372 @@ func runCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOpti
 				// endpoint's worker pool is the actual compression
 				// parallelism. The chunk tasks carry the field's codec.
 				// Transient fabric failures retry under the campaign policy.
-				var n, r int
-				r, err = mode.retry.Do(ctx, func(ctx context.Context) error {
+				var n, retries int
+				retries, err = rs.retry.Do(ctx, func(ctx context.Context) error {
 					var cerr error
-					stream, n, cerr = fan.compressField(ctx, fields[i], codecs[i], cfg, mode.chunkBytes)
+					stream, n, cerr = fan.compressField(ctx, f, fc.codec, cfg, rs.chunkBytes)
 					return cerr
 				})
-				retriesTotal.Add(int64(r))
-				if mode.progress != nil && r > 0 {
-					mode.progress.retries.Add(int64(r))
-				}
-				totalChunks.Add(int64(n))
-				cm.chunks.Add(int64(n))
+				r.progress.retries.Add(int64(retries))
+				r.chunks.Add(int64(n))
+				r.cm.chunks.Add(int64(n))
 				span.Annotate(obs.Int("chunks", int64(n)))
-			case codecs[i].Name() == sz.CodecName:
+			case fc.codec.Name() == sz.CodecName:
 				// The sz3 path keeps its richer Config (predictor choice,
 				// future knobs) rather than flattening through the
 				// codec-neutral Params.
-				stream, _, err = sz.Compress(fields[i].Data, fields[i].Dims, cfg)
+				stream, _, err = sz.Compress(f.Data, f.Dims, cfg)
 			default:
-				stream, err = codecs[i].Compress(fields[i].Data, fields[i].Dims,
-					codec.Params{AbsErrorBound: absEBs[i]})
+				stream, err = fc.codec.Compress(f.Data, f.Dims, codec.Params{AbsErrorBound: fc.absEB})
 			}
 			if err != nil {
-				return compressedItem{}, fmt.Errorf("compress %s: %w", fields[i].ID(), err)
+				return compressedItem{}, fmt.Errorf("compress %s: %w", f.ID(), err)
 			}
-			cm.compressedBytes.Add(int64(len(stream)))
+			r.cm.compressedBytes.Add(int64(len(stream)))
 			span.Annotate(obs.Int("bytes", int64(len(stream))))
-			return compressedItem{idx: i, name: ps.names[i], stream: stream}, nil
+			return compressedItem{idx: i, stream: stream}, nil
 		})
+}
 
-	packed := packStage(g, compress, ps, mode, strategy, param, missing, buffer)
+// archiveName is the transfer name of packed group id.
+func archiveName(id int) string { return fmt.Sprintf("group-%04d.ocgr", id) }
 
-	// Transfer with retry + failover: transient errors (link flaps, outage
-	// windows) retry in place with exponential backoff, and when the primary
-	// transport's budget is spent — or it fails permanently — the send moves
-	// to the next fallback endpoint under the same policy. Weighted
-	// transports carry the campaign's fair-share weight on every attempt so
-	// concurrent campaigns split a shared link proportionally. Progress
-	// counters advance only on success, so a retried send never
-	// double-counts SentBytes.
-	transports := append([]Transport{mode.transport}, mode.fallbacks...)
-	send := func(ctx context.Context, tr Transport, name string, data []byte) ([]byte, float64, error) {
-		if dt, ok := tr.(DeliveredTransport); ok {
-			return dt.SendDelivered(ctx, name, data, mode.weight)
-		}
-		if wt, ok := tr.(WeightedTransport); ok && mode.weight > 0 {
-			sec, err := wt.SendWeighted(ctx, name, data, mode.weight)
-			return data, sec, err
-		}
-		sec, err := tr.Send(ctx, name, data)
-		return data, sec, err
-	}
-	var linkMu sync.Mutex
-	var linkSec float64
-	// ship moves one named payload with the full retry/failover budget and
-	// returns the bytes that actually arrived. Every successful delivery —
-	// first send, corruption retransmit, or quarantine escape — flows
-	// through here, so link seconds and SentBytes account each one exactly
-	// once, while retries never double-count.
-	ship := func(ctx context.Context, name string, payload []byte) ([]byte, float64, error) {
-		var sec float64
-		var delivered []byte
-		var attempt int64
-		r, f, err := sentinel.Failover(ctx, mode.retry, len(transports),
-			func(ctx context.Context, ep int) error {
-				// One child span per attempt, so retries and failovers
-				// are visible in the trace as repeated sends under the
-				// group's transfer span.
-				attempt++
-				actx, asp := mode.obs.StartSpan(ctx, "send",
-					obs.Int("attempt", attempt), obs.Int("endpoint", int64(ep)))
-				start := now()
-				d, s, sendErr := send(actx, transports[ep], name, payload)
-				cm.sendSeconds.Observe(now().Sub(start).Seconds())
-				if sendErr == nil {
-					delivered, sec = d, s
-				} else {
-					asp.Annotate(obs.String("error", sendErr.Error()))
-				}
-				asp.End()
-				return sendErr
-			})
-		retriesTotal.Add(int64(r))
-		failoversTotal.Add(int64(f))
-		if mode.progress != nil {
-			mode.progress.retries.Add(int64(r))
-			mode.progress.failovers.Add(int64(f))
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		linkMu.Lock()
-		linkSec += sec
-		linkMu.Unlock()
-		cm.sentBytes.Add(int64(len(payload)))
-		if mode.progress != nil {
-			mode.progress.sentBytes.Add(int64(len(payload)))
-		}
-		return delivered, sec, nil
-	}
-	sent := pipeline.Stage(g, pipeline.Config{Name: "transfer", Workers: mode.transferStreams, Buffer: buffer}, packed,
+// transferStage ships each packed archive with the full retry/failover
+// budget and journals the send.
+func (r *campaignRun) transferStage(g *pipeline.Group, in <-chan packedGroup) <-chan sentGroup {
+	rs := r.rs
+	return pipeline.Stage(g, pipeline.Config{Name: "transfer", Workers: rs.streams, Buffer: rs.buffer}, in,
 		func(ctx context.Context, pg packedGroup) (sentGroup, error) {
-			ctx, span := mode.obs.StartSpan(ctx, "transfer",
+			ctx, span := r.obs.StartSpan(ctx, "transfer",
 				obs.Int("group", int64(pg.id)), obs.Int("bytes", int64(len(pg.archive))))
 			defer span.End()
-			delivered, sec, err := ship(ctx, fmt.Sprintf("group-%04d.ocgr", pg.id), pg.archive)
+			delivered, err := r.ship(ctx, archiveName(pg.id), pg.archive)
 			if err != nil {
 				return sentGroup{}, err
 			}
-			cm.groups.Inc()
-			if mode.progress != nil {
-				mode.progress.sentGroups.Add(1)
-			}
-			if jw != nil {
-				_, jsp := mode.obs.StartSpan(ctx, "journal.sent", obs.Int("group", int64(pg.id)))
-				jerr := jw.Sent(pg.id)
+			r.cm.groups.Inc()
+			r.progress.sentGroups.Add(1)
+			if r.jw != nil {
+				_, jsp := r.obs.StartSpan(ctx, "journal.sent", obs.Int("group", int64(pg.id)))
+				jerr := r.jw.Sent(pg.id)
 				jsp.End()
 				if jerr != nil {
 					return sentGroup{}, jerr
 				}
 			}
-			return sentGroup{packedGroup: pg, linkSec: sec, delivered: delivered}, nil
+			return sentGroup{packedGroup: pg, delivered: delivered}, nil
 		})
+}
 
-	if mode.sequential {
-		// Hard barrier: hold every transferred group until the transfer
-		// phase completes, so decompression cannot overlap it.
-		var held []sentGroup
-		sent = pipeline.Reduce(g, pipeline.Config{Name: "barrier", Buffer: buffer}, sent,
-			func(ctx context.Context, sg sentGroup, emit func(sentGroup) error) error {
-				held = append(held, sg)
-				return nil
-			},
-			func(ctx context.Context, emit func(sentGroup) error) error {
-				for _, sg := range held {
-					if err := emit(sg); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+// send offers one payload to one transport: delivered-reporting
+// transports return what actually arrived, and weighted transports carry
+// the campaign's fair-share weight so concurrent campaigns split a shared
+// link proportionally.
+func (r *campaignRun) send(ctx context.Context, tr Transport, name string, data []byte) ([]byte, float64, error) {
+	weight := r.rs.spec.TransportWeight
+	if dt, ok := tr.(DeliveredTransport); ok {
+		return dt.SendDelivered(ctx, name, data, weight)
 	}
-
-	// quarantine re-ships one bound-violating field through the lossless
-	// escape: the raw float64 bits travel deflate-compressed (with the
-	// backend's raw fallback) inside an integrity frame, are verified on
-	// arrival, and replace the lossy reconstruction bit-exactly. It returns
-	// the exact values and the bytes shipped (counted per delivery).
-	quarantine := func(ctx context.Context, i int) ([]float64, int64, error) {
-		qctx, qsp := mode.obs.StartSpan(ctx, "quarantine", obs.String("field", ps.names[i]))
-		defer qsp.End()
-		comp, err := lossless.Compress(floatsToBytes(fields[i].Data), lossless.Deflate)
-		if err != nil {
-			return nil, 0, err
-		}
-		payload := comp
-		if mode.integrity {
-			payload = integrity.Wrap(comp, []uint32{integrity.Checksum(comp)})
-		}
-		qsp.Annotate(obs.Int("bytes", int64(len(payload))))
-		var delivered []byte
-		var shipped int64
-		_, err = mode.retry.Do(qctx, func(ctx context.Context) error {
-			d, _, serr := ship(ctx, ps.names[i]+".lossless", payload)
-			if serr != nil {
-				return serr
-			}
-			shipped += int64(len(payload))
-			if mode.integrity {
-				inner, _, verr := integrity.Verify(d)
-				if verr != nil {
-					// The escape itself was corrupted in flight: detected,
-					// and re-shipped under the same transient budget.
-					cm.corruptions.Inc()
-					return sentinel.MarkTransient(verr)
-				}
-				d = inner
-			}
-			delivered = d
-			return nil
-		})
-		if err != nil {
-			return nil, shipped, err
-		}
-		raw, err := lossless.Decompress(delivered)
-		if err != nil {
-			return nil, shipped, err
-		}
-		vals, err := bytesToFloats(raw, len(fields[i].Data))
-		return vals, shipped, err
+	if wt, ok := tr.(WeightedTransport); ok && weight > 0 {
+		sec, err := wt.SendWeighted(ctx, name, data, weight)
+		return data, sec, err
 	}
+	sec, err := tr.Send(ctx, name, data)
+	return data, sec, err
+}
 
-	// Fan-out campaigns pay the digest pass to prove worker-count
-	// invariance; journaled/resumed campaigns pay it so a resumed half can
-	// be compared digest-for-digest with an uninterrupted run.
-	digestOn := mode.chunkBytes > 0 || journaling
-	verified := pipeline.Stage(g, pipeline.Config{Name: "decompress", Workers: workers, Buffer: buffer}, sent,
-		func(ctx context.Context, sg sentGroup) (verifiedGroup, error) {
-			ctx, span := mode.obs.StartSpan(ctx, "decompress", obs.Int("group", int64(sg.id)))
-			defer span.End()
-			out := verifiedGroup{minPSNR: math.Inf(1)}
-			payload := sg.delivered
-			if payload == nil {
-				payload = sg.archive
+// ship moves one named payload with the full retry/failover budget and
+// returns the bytes that actually arrived. Transient errors (link flaps,
+// outage windows) retry in place with exponential backoff, and when the
+// primary transport's budget is spent — or it fails permanently — the
+// send moves to the next fallback endpoint under the same policy. Every
+// successful delivery — first send, corruption retransmit, or quarantine
+// escape — flows through here, so link seconds and SentBytes account each
+// one exactly once, while retries never double-count.
+func (r *campaignRun) ship(ctx context.Context, name string, payload []byte) ([]byte, error) {
+	rs := r.rs
+	var sec float64
+	var delivered []byte
+	var attempt int64
+	retries, failovers, err := sentinel.Failover(ctx, rs.retry, len(rs.transports),
+		func(ctx context.Context, ep int) error {
+			// One child span per attempt, so retries and failovers are
+			// visible in the trace as repeated sends under the group's
+			// transfer span.
+			attempt++
+			actx, asp := r.obs.StartSpan(ctx, "send",
+				obs.Int("attempt", attempt), obs.Int("endpoint", int64(ep)))
+			start := rs.now()
+			d, s, sendErr := r.send(actx, rs.transports[ep], name, payload)
+			r.cm.sendSeconds.Observe(rs.now().Sub(start).Seconds())
+			if sendErr == nil {
+				delivered, sec = d, s
+			} else {
+				asp.Annotate(obs.String("error", sendErr.Error()))
 			}
-			var memberSums []uint32
-			if mode.integrity {
-				// Checksum gate before any decompression: a delivery that
-				// fails the frame check is detected corruption, classified
-				// transient, and only this group is re-requested through the
-				// retry budget (a zero-value policy grants one retransmit).
-				var verr error
-				payload, memberSums, verr = integrity.Verify(payload)
-				if verr != nil {
-					out.corrupt = true
-					cm.corruptions.Inc()
-					if mode.progress != nil {
-						mode.progress.corruptGroups.Add(1)
-					}
-					span.Annotate(obs.String("corrupt", verr.Error()))
-					_, rerr := mode.retry.Do(ctx, func(ctx context.Context) error {
-						rctx, rsp := mode.obs.StartSpan(ctx, "retransmit", obs.Int("group", int64(sg.id)))
-						defer rsp.End()
-						d, _, serr := ship(rctx, fmt.Sprintf("group-%04d.ocgr", sg.id), sg.archive)
-						if serr != nil {
-							return serr
-						}
-						out.retransmits++
-						out.retransmitBytes += int64(len(sg.archive))
-						cm.retransmits.Inc()
-						if mode.progress != nil {
-							mode.progress.retransmits.Add(1)
-						}
-						payload, memberSums, verr = integrity.Verify(d)
-						if verr != nil {
-							cm.corruptions.Inc()
-							return sentinel.MarkTransient(verr)
-						}
-						return nil
-					})
-					if rerr != nil {
-						return verifiedGroup{}, fmt.Errorf("core: group %d corrupted in transit and not recovered after %d retransmit(s): %w", sg.id, out.retransmits, rerr)
-					}
-				}
-			}
-			members, err := grouping.Unpack(payload)
-			if err != nil {
-				return verifiedGroup{}, err
-			}
-			if mode.integrity && len(memberSums) != len(members) {
-				return verifiedGroup{}, fmt.Errorf("core: group %d: frame records %d members, archive holds %d", sg.id, len(memberSums), len(members))
-			}
-			span.Annotate(obs.Int("members", int64(len(members))))
-			out.members = len(members)
-			for k, m := range members {
-				// One verify span per member: checksum, decode, digest, bound
-				// audit, optional PSNR. The closure gives the span a single
-				// exit for every error path.
-				k, m := k, m
-				if err := func() error {
-					_, vsp := mode.obs.StartSpan(ctx, "verify", obs.String("field", m.Name))
-					defer vsp.End()
-					i, ok := byName[m.Name]
-					if !ok {
-						return fmt.Errorf("core: unknown member %q", m.Name)
-					}
-					if mode.integrity && integrity.Checksum(m.Data) != memberSums[k] {
-						return fmt.Errorf("core: %s: member checksum does not match its pack-time digest", m.Name)
-					}
-					// Registry dispatch on the member's own magic: grouped
-					// archives may mix codecs (per-field plan decisions), and
-					// pre-codec sz3 archives decode through the same path
-					// byte-identically.
-					recon, dims, err := codec.Decompress(m.Data)
-					if err != nil {
-						return fmt.Errorf("decompress %s: %w", m.Name, err)
-					}
-					if len(dims) != len(fields[i].Dims) {
-						return fmt.Errorf("core: %s: dims mismatch", m.Name)
-					}
-					// Pointwise bound audit (full by default, stride-sampled
-					// via BoundAudit.Stride): the codec's error-bound contract
-					// is checked against the data, not trusted.
-					maxErr, err := metrics.MaxAbsErrorSampled(fields[i].Data, recon, mode.audit.Stride)
-					if err != nil {
-						return err
-					}
-					quarantined := false
-					if maxErr > absEBs[i]*(1+1e-9) {
-						cm.auditFailures.Inc()
-						if !mode.audit.Quarantine {
-							return fmt.Errorf("core: %s: error %g exceeds bound %g", m.Name, maxErr, absEBs[i])
-						}
-						// The codec broke its bound for this field: quarantine
-						// it — re-ship the raw values lossless and record the
-						// degradation instead of failing the campaign.
-						exact, shipped, qerr := quarantine(ctx, i)
-						out.degradedBytes += shipped
-						if qerr != nil {
-							return fmt.Errorf("core: %s: bound violated (%g > %g) and lossless quarantine failed: %w", m.Name, maxErr, absEBs[i], qerr)
-						}
-						recon, quarantined = exact, true
-						out.degraded = append(out.degraded, m.Name)
-						cm.degradedFields.Inc()
-						if mode.progress != nil {
-							mode.progress.degraded.Add(1)
-						}
-						vsp.Annotate(obs.String("quarantined", "lossless"))
-					} else {
-						out.maxRel = math.Max(out.maxRel, maxErr/ranges[i])
-					}
-					// Each field is verified exactly once, so writing its slot
-					// is race-free across decompress workers. Quarantined
-					// fields digest their exact replacement.
-					if digestOn {
-						reconDigests[i] = reconDigest(recon)
-					}
-					// A quarantined field's replacement is bit-exact — there
-					// is no noise to score, so it does not drag minPSNR.
-					if mode.measurePSNR && !quarantined {
-						p, err := metrics.PSNR(fields[i].Data, recon)
-						if err != nil {
-							return err
-						}
-						out.minPSNR = math.Min(out.minPSNR, p)
-					}
-					return nil
-				}(); err != nil {
-					return verifiedGroup{}, err
-				}
-			}
-			if jw != nil {
-				// The group is now verified end to end — durable at the
-				// destination. Record its per-member recon digests (parallel
-				// to the group's journal members, which are sg.idxs) so a
-				// resume can fold them without redoing the field, echoing the
-				// archive digest so a later resume can prove the ack belongs
-				// to the archive the journal describes.
-				acks := make([]uint64, len(sg.idxs))
-				for k, i := range sg.idxs {
-					acks[k] = reconDigests[i]
-				}
-				_, jsp := mode.obs.StartSpan(ctx, "journal.ack", obs.Int("group", int64(sg.id)))
-				err := jw.Ack(sg.id, byteDigest(sg.archive), acks)
-				jsp.End()
-				if err != nil {
-					return verifiedGroup{}, err
-				}
-			}
-			return out, nil
+			asp.End()
+			return sendErr
 		})
-
-	collected := pipeline.Collect(g, verified)
-
-	if err := g.Wait(); err != nil {
+	r.progress.retries.Add(int64(retries))
+	r.progress.failovers.Add(int64(failovers))
+	if err != nil {
 		return nil, err
 	}
-	res.WallSec = now().Sub(wallStart).Seconds()
+	r.linkMu.Lock()
+	r.linkSec += sec
+	r.linkMu.Unlock()
+	r.cm.sentBytes.Add(int64(len(payload)))
+	r.progress.sentBytes.Add(int64(len(payload)))
+	return delivered, nil
+}
 
+// sequentialBarrier holds every transferred group until the transfer
+// phase completes, so decompression cannot overlap it (EngineSequential).
+func sequentialBarrier(g *pipeline.Group, in <-chan sentGroup, buffer int) <-chan sentGroup {
+	var held []sentGroup
+	return pipeline.Reduce(g, pipeline.Config{Name: "barrier", Buffer: buffer}, in,
+		func(ctx context.Context, sg sentGroup, emit func(sentGroup) error) error {
+			held = append(held, sg)
+			return nil
+		},
+		func(ctx context.Context, emit func(sentGroup) error) error {
+			for _, sg := range held {
+				if err := emit(sg); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+}
+
+// decompressStage verifies every delivered group end to end.
+func (r *campaignRun) decompressStage(g *pipeline.Group, in <-chan sentGroup) <-chan verifiedGroup {
+	return pipeline.Stage(g, pipeline.Config{Name: "decompress", Workers: r.rs.workers, Buffer: r.rs.buffer}, in,
+		r.verifyGroup)
+}
+
+// verifyGroup checks one delivered archive's frame, unpacks it, verifies
+// every member, and acks the group in the journal.
+func (r *campaignRun) verifyGroup(ctx context.Context, sg sentGroup) (verifiedGroup, error) {
+	ctx, span := r.obs.StartSpan(ctx, "decompress", obs.Int("group", int64(sg.id)))
+	defer span.End()
+	out := verifiedGroup{minPSNR: math.Inf(1)}
+	payload, memberSums, err := r.openFrame(ctx, span, sg, &out)
+	if err != nil {
+		return verifiedGroup{}, err
+	}
+	members, err := grouping.Unpack(payload)
+	if err != nil {
+		return verifiedGroup{}, err
+	}
+	if r.rs.integrity && len(memberSums) != len(members) {
+		return verifiedGroup{}, fmt.Errorf("core: group %d: frame records %d members, archive holds %d", sg.id, len(memberSums), len(members))
+	}
+	span.Annotate(obs.Int("members", int64(len(members))))
+	out.members = len(members)
+	for k, m := range members {
+		var sum uint32
+		if r.rs.integrity {
+			sum = memberSums[k]
+		}
+		if err := r.verifyMember(ctx, m, sum, &out); err != nil {
+			return verifiedGroup{}, err
+		}
+	}
+	if r.jw != nil {
+		// The group is now verified end to end — durable at the
+		// destination. Record its per-member recon digests (parallel to the
+		// group's journal members, which are sg.idxs) so a resume can fold
+		// them without redoing the field, echoing the archive digest so a
+		// later resume can prove the ack belongs to the archive the journal
+		// describes.
+		acks := make([]uint64, len(sg.idxs))
+		for k, i := range sg.idxs {
+			acks[k] = r.reconDigests[i]
+		}
+		_, jsp := r.obs.StartSpan(ctx, "journal.ack", obs.Int("group", int64(sg.id)))
+		err := r.jw.Ack(sg.id, byteDigest(sg.archive), acks)
+		jsp.End()
+		if err != nil {
+			return verifiedGroup{}, err
+		}
+	}
+	return out, nil
+}
+
+// openFrame is the checksum gate before any decompression. With integrity
+// on, a delivery that fails the frame check is detected corruption,
+// classified transient, and only this group is re-requested through the
+// retry budget (a zero-value policy grants one retransmit). It returns the
+// archive and its per-member pack-time digests (nil with integrity off).
+func (r *campaignRun) openFrame(ctx context.Context, span *obs.Span, sg sentGroup, out *verifiedGroup) ([]byte, []uint32, error) {
+	payload := sg.delivered
+	if payload == nil {
+		payload = sg.archive
+	}
+	if !r.rs.integrity {
+		return payload, nil, nil
+	}
+	payload, memberSums, verr := integrity.Verify(payload)
+	if verr == nil {
+		return payload, memberSums, nil
+	}
+	out.corrupt = true
+	r.cm.corruptions.Inc()
+	r.progress.corruptGroups.Add(1)
+	span.Annotate(obs.String("corrupt", verr.Error()))
+	_, rerr := r.rs.retry.Do(ctx, func(ctx context.Context) error {
+		rctx, rsp := r.obs.StartSpan(ctx, "retransmit", obs.Int("group", int64(sg.id)))
+		defer rsp.End()
+		d, serr := r.ship(rctx, archiveName(sg.id), sg.archive)
+		if serr != nil {
+			return serr
+		}
+		out.retransmits++
+		out.retransmitBytes += int64(len(sg.archive))
+		r.cm.retransmits.Inc()
+		r.progress.retransmits.Add(1)
+		payload, memberSums, verr = integrity.Verify(d)
+		if verr != nil {
+			r.cm.corruptions.Inc()
+			return sentinel.MarkTransient(verr)
+		}
+		return nil
+	})
+	if rerr != nil {
+		return nil, nil, fmt.Errorf("core: group %d corrupted in transit and not recovered after %d retransmit(s): %w", sg.id, out.retransmits, rerr)
+	}
+	return payload, memberSums, nil
+}
+
+// verifyMember checks one unpacked member under its own "verify" span:
+// pack-time checksum, registry decode, the pointwise bound audit (with
+// the lossless quarantine escape), the reconstruction digest, and PSNR
+// for planned campaigns. sum is the member's pack-time digest (ignored
+// with integrity off).
+func (r *campaignRun) verifyMember(ctx context.Context, m grouping.Member, sum uint32, out *verifiedGroup) error {
+	_, vsp := r.obs.StartSpan(ctx, "verify", obs.String("field", m.Name))
+	defer vsp.End()
+	i, ok := r.byName[m.Name]
+	if !ok {
+		return fmt.Errorf("core: unknown member %q", m.Name)
+	}
+	f, fc := r.fields[i], r.cfgs[i]
+	if r.rs.integrity && integrity.Checksum(m.Data) != sum {
+		return fmt.Errorf("core: %s: member checksum does not match its pack-time digest", m.Name)
+	}
+	// Registry dispatch on the member's own magic: grouped archives may mix
+	// codecs (per-field plan decisions), and pre-codec sz3 archives decode
+	// through the same path byte-identically.
+	recon, dims, err := codec.Decompress(m.Data)
+	if err != nil {
+		return fmt.Errorf("decompress %s: %w", m.Name, err)
+	}
+	if len(dims) != len(f.Dims) {
+		return fmt.Errorf("core: %s: dims mismatch", m.Name)
+	}
+	// Pointwise bound audit (full by default, stride-sampled via
+	// BoundAudit.Stride): the codec's error-bound contract is checked
+	// against the data, not trusted.
+	maxErr, err := metrics.MaxAbsErrorSampled(f.Data, recon, r.rs.spec.BoundAudit.Stride)
+	if err != nil {
+		return err
+	}
+	quarantined := false
+	if maxErr > fc.absEB*(1+1e-9) {
+		r.cm.auditFailures.Inc()
+		if !r.rs.spec.BoundAudit.Quarantine {
+			return fmt.Errorf("core: %s: error %g exceeds bound %g", m.Name, maxErr, fc.absEB)
+		}
+		// The codec broke its bound for this field: quarantine it — re-ship
+		// the raw values lossless and record the degradation instead of
+		// failing the campaign.
+		exact, shipped, qerr := r.quarantine(ctx, i)
+		out.degradedBytes += shipped
+		if qerr != nil {
+			return fmt.Errorf("core: %s: bound violated (%g > %g) and lossless quarantine failed: %w", m.Name, maxErr, fc.absEB, qerr)
+		}
+		recon, quarantined = exact, true
+		out.degraded = append(out.degraded, m.Name)
+		r.cm.degradedFields.Inc()
+		r.progress.degraded.Add(1)
+		vsp.Annotate(obs.String("quarantined", "lossless"))
+	} else {
+		out.maxRel = math.Max(out.maxRel, maxErr/fc.valueRange)
+	}
+	// Each field is verified exactly once, so writing its slot is race-free
+	// across decompress workers. Quarantined fields digest their exact
+	// replacement.
+	if r.digestOn {
+		r.reconDigests[i] = reconDigest(recon)
+	}
+	// A quarantined field's replacement is bit-exact — there is no noise to
+	// score, so it does not drag minPSNR.
+	if r.planned && !quarantined {
+		p, err := metrics.PSNR(f.Data, recon)
+		if err != nil {
+			return err
+		}
+		out.minPSNR = math.Min(out.minPSNR, p)
+	}
+	return nil
+}
+
+// quarantine re-ships one bound-violating field through the lossless
+// escape: the raw float64 bits travel deflate-compressed (with the
+// backend's raw fallback) inside an integrity frame, are verified on
+// arrival, and replace the lossy reconstruction bit-exactly. It returns
+// the exact values and the bytes shipped (counted per delivery).
+func (r *campaignRun) quarantine(ctx context.Context, i int) ([]float64, int64, error) {
+	qctx, qsp := r.obs.StartSpan(ctx, "quarantine", obs.String("field", r.names[i]))
+	defer qsp.End()
+	comp, err := lossless.Compress(floatsToBytes(r.fields[i].Data), lossless.Deflate)
+	if err != nil {
+		return nil, 0, err
+	}
+	payload := comp
+	if r.rs.integrity {
+		payload = integrity.Wrap(comp, []uint32{integrity.Checksum(comp)})
+	}
+	qsp.Annotate(obs.Int("bytes", int64(len(payload))))
+	var delivered []byte
+	var shipped int64
+	_, err = r.rs.retry.Do(qctx, func(ctx context.Context) error {
+		d, serr := r.ship(ctx, r.names[i]+".lossless", payload)
+		if serr != nil {
+			return serr
+		}
+		shipped += int64(len(payload))
+		if r.rs.integrity {
+			inner, _, verr := integrity.Verify(d)
+			if verr != nil {
+				// The escape itself was corrupted in flight: detected, and
+				// re-shipped under the same transient budget.
+				r.cm.corruptions.Inc()
+				return sentinel.MarkTransient(verr)
+			}
+			d = inner
+		}
+		delivered = d
+		return nil
+	})
+	if err != nil {
+		return nil, shipped, err
+	}
+	raw, err := lossless.Decompress(delivered)
+	if err != nil {
+		return nil, shipped, err
+	}
+	vals, err := bytesToFloats(raw, len(r.fields[i].Data))
+	return vals, shipped, err
+}
+
+// assemble folds the verified groups, the pack ledger, and the stage
+// statistics into res, and closes the journal.
+func (r *campaignRun) assemble(res *CampaignResult, verified []verifiedGroup, ps *packState, missing []int, stats []StageTiming) error {
 	verifiedFiles := 0
 	minPSNR := math.Inf(1)
-	for _, v := range *collected {
+	for _, v := range verified {
 		verifiedFiles += v.members
 		res.MaxRelError = math.Max(res.MaxRelError, v.maxRel)
 		minPSNR = math.Min(minPSNR, v.minPSNR)
@@ -957,17 +853,14 @@ func runCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOpti
 		res.DegradedFields = append(res.DegradedFields, v.degraded...)
 	}
 	sort.Strings(res.DegradedFields)
-	if mode.measurePSNR {
+	if r.planned {
 		res.MinPSNR = minPSNR
 	}
 	if verifiedFiles != len(missing) {
-		return nil, fmt.Errorf("core: %d members after grouping, want %d", verifiedFiles, len(missing))
+		return fmt.Errorf("core: %d members after grouping, want %d", verifiedFiles, len(missing))
 	}
-
-	if jw != nil {
-		if err := jw.Done(); err != nil {
-			return nil, fmt.Errorf("core: journal %s: %w", mode.journalPath, err)
-		}
+	if err := r.finishJournal(); err != nil {
+		return err
 	}
 
 	res.CompressedBytes = ps.compressedBytes
@@ -978,26 +871,25 @@ func runCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOpti
 	// that is the missing fields' raw bytes over their compressed bytes.
 	var procRaw int64
 	for _, i := range missing {
-		procRaw += int64(fields[i].RawBytes())
+		procRaw += int64(r.fields[i].RawBytes())
 	}
 	if res.CompressedBytes > 0 {
 		res.Ratio = float64(procRaw) / float64(res.CompressedBytes)
 	}
-	res.Metadata = grouping.Metadata(ps.names, ps.plan, strategy)
-	res.LinkSec = linkSec
-	res.Chunks = int(totalChunks.Load())
-	res.CompressWorkers = mode.compressWorkers
-	res.Retries = int(retriesTotal.Load())
-	res.Failovers = int(failoversTotal.Load())
-	if digestOn {
-		res.ReconDigest = foldDigests(reconDigests)
+	res.Metadata = grouping.Metadata(ps.names, ps.plan, r.rs.strategy)
+	res.LinkSec = r.linkSec
+	res.Chunks = int(r.chunks.Load())
+	res.CompressWorkers = r.rs.compressWorkers
+	res.Retries = int(r.progress.retries.Load())
+	res.Failovers = int(r.progress.failovers.Load())
+	if r.digestOn {
+		res.ReconDigest = foldDigests(r.reconDigests)
 	}
 
-	stats := g.Stats()
 	res.OverlapSec = pipeline.Overlap(stats)
-	// Per-stage throughput: compress consumes the raw field bytes,
-	// packing consumes the compressed streams, the transfer ships the
-	// packed archives, and decompression delivers raw bytes back — so
+	// Per-stage throughput: compress consumes the raw field bytes, packing
+	// consumes the compressed streams, the transfer ships the packed
+	// archives, and decompression delivers raw bytes back — so
 	// compress/decompress MB/s are directly comparable to the codec's
 	// single-stream throughput and to the link's rate.
 	pipeline.AttachThroughput(stats, "compress", res.RawBytes)
@@ -1017,17 +909,17 @@ func runCampaign(ctx context.Context, fields []*datagen.Field, opts CampaignOpti
 			res.DecompressSec = s.WallSec
 		}
 	}
-	if mode.obs != nil && mode.obs.Metrics != nil {
+	if r.obs != nil && r.obs.Metrics != nil {
 		// Per-stage throughput distribution across runs, then the inline
 		// snapshot — taken last so it includes everything above.
 		for _, s := range stats {
 			if s.MBps > 0 {
-				mode.obs.Histogram("campaign_stage_mbps", obs.L("stage", s.Name)).Observe(s.MBps)
+				r.obs.Histogram("campaign_stage_mbps", obs.L("stage", s.Name)).Observe(s.MBps)
 			}
 		}
-		res.Metrics = mode.obs.Metrics.Snapshot()
+		res.Metrics = r.obs.Metrics.Snapshot()
 	}
-	return res, nil
+	return nil
 }
 
 // FNV-64a parameters for the inline digest loops below: every campaign
@@ -1094,15 +986,15 @@ func foldDigests(digests []uint64) uint64 {
 }
 
 // packStage wires the grouping stage over the active field subset (all
-// fields on a fresh run, the journal's missing fields on a resume). Both
-// modes run as a single-worker Reduce; they differ in when groups are
-// emitted.
-func packStage(g *pipeline.Group, in <-chan compressedItem, ps *packState, mode campaignMode,
-	strategy grouping.Strategy, param int64, active []int, buffer int) <-chan packedGroup {
-	cfg := pipeline.Config{Name: "pack", Buffer: buffer}
+// fields on a fresh run, the journal's missing fields on a resume). Every
+// engine runs it as a single-worker Reduce; the pipelined engine emits
+// groups as they fill, the others after every stream has arrived.
+func packStage(g *pipeline.Group, in <-chan compressedItem, ps *packState, rs *resolvedSpec, active []int) <-chan packedGroup {
+	cfg := pipeline.Config{Name: "pack", Buffer: rs.buffer}
+	strategy, param := rs.strategy, rs.param
 	nFields := len(active)
 
-	if !mode.pipelined {
+	if rs.spec.Engine != EnginePipelined {
 		// Barrier: hold every stream, then group exactly as the classic
 		// path does (round-robin plan over the active inventory).
 		return pipeline.Reduce(g, cfg, in,

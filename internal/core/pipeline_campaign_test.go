@@ -40,12 +40,10 @@ func slowLink() *wan.Link {
 
 func TestRunPipelinedCampaignOverlapsStages(t *testing.T) {
 	fields := pipelineFields(t, 12, 16)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       4,
-			GroupParam:    6, // ByWorldSize → 6 groups of 2
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         4,
+		GroupParam:      6, // ByWorldSize → 6 groups of 2
 		Transport:       &SimulatedWANTransport{Link: slowLink(), Timescale: 1},
 		TransferStreams: 2,
 	})
@@ -101,13 +99,11 @@ func TestRunPipelinedCampaignOverlapsStages(t *testing.T) {
 
 func TestRunPipelinedCampaignTargetSizeGrouping(t *testing.T) {
 	fields := pipelineFields(t, 8, 36)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       4,
-			GroupStrategy: grouping.ByTargetSize,
-			GroupParam:    1 << 14, // small target → several groups
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3,
+		Workers:       4,
+		GroupStrategy: grouping.ByTargetSize,
+		GroupParam:    1 << 14, // small target → several groups
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,12 +118,10 @@ func TestRunPipelinedCampaignTargetSizeGrouping(t *testing.T) {
 
 func TestRunPipelinedCampaignSingleArchive(t *testing.T) {
 	fields := pipelineFields(t, 4, 36)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       2,
-			GroupStrategy: grouping.SingleArchive,
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound: 1e-3,
+		Workers:       2,
+		GroupStrategy: grouping.SingleArchive,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,12 +144,10 @@ func TestRunPipelinedCampaignOverGridFTP(t *testing.T) {
 	}
 
 	fields := pipelineFields(t, 6, 36)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       3,
-			GroupParam:    3,
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         3,
+		GroupParam:      3,
 		Transport:       &GridFTPTransport{Client: client},
 		TransferStreams: 2,
 	})
@@ -183,18 +175,14 @@ func TestRunPipelinedCampaignOverGridFTP(t *testing.T) {
 
 func TestRunPipelinedCampaignValidation(t *testing.T) {
 	ctx := context.Background()
-	if _, err := RunPipelinedCampaign(ctx, nil, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3},
-	}); err == nil {
+	if _, err := Run(ctx, nil, CampaignSpec{RelErrorBound: 1e-3}); err == nil {
 		t.Error("no fields must error")
 	}
 	fields := pipelineFields(t, 1, 40)
-	if _, err := RunPipelinedCampaign(ctx, fields, PipelineOptions{}); err == nil {
+	if _, err := Run(ctx, fields, CampaignSpec{}); err == nil {
 		t.Error("zero bound must error")
 	}
-	if _, err := RunPipelinedCampaign(ctx, fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, GroupStrategy: grouping.Strategy(99)},
-	}); err == nil {
+	if _, err := Run(ctx, fields, CampaignSpec{RelErrorBound: 1e-3, GroupStrategy: grouping.Strategy(99)}); err == nil {
 		t.Error("unknown strategy must error")
 	}
 }
@@ -203,18 +191,18 @@ func TestRunPipelinedCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	fields := pipelineFields(t, 4, 36)
-	if _, err := RunPipelinedCampaign(ctx, fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3},
-	}); err == nil {
+	if _, err := Run(ctx, fields, CampaignSpec{RelErrorBound: 1e-3}); err == nil {
 		t.Error("cancelled context must error")
 	}
 }
 
 func TestBarrierCampaignReportsEngineStats(t *testing.T) {
 	fields := campaignFields(t)
-	res, err := RunCampaign(context.Background(), fields, CampaignOptions{
-		RelErrorBound: 1e-3,
-		Workers:       4,
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		RelErrorBound:   1e-3,
+		Workers:         4,
+		Engine:          EngineBarrier,
+		TransferStreams: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,12 +239,11 @@ func TestTransportValidation(t *testing.T) {
 
 func TestRunSequentialCampaignBaseline(t *testing.T) {
 	fields := pipelineFields(t, 8, 36)
-	res, err := RunSequentialCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{
-			RelErrorBound: 1e-3,
-			Workers:       4,
-			GroupParam:    4,
-		},
+	res, err := Run(context.Background(), fields, CampaignSpec{
+		Engine:          EngineSequential,
+		RelErrorBound:   1e-3,
+		Workers:         4,
+		GroupParam:      4,
 		Transport:       &SimulatedWANTransport{Link: slowLink(), Timescale: 1},
 		TransferStreams: 2,
 	})
@@ -298,9 +285,7 @@ func TestRunSequentialCampaignBaseline(t *testing.T) {
 // archive count (same per-file WAN overhead).
 func TestPipelinedWorldSizeGroupCount(t *testing.T) {
 	fields := pipelineFields(t, 5, 40)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, Workers: 4, GroupParam: 4},
-	})
+	res, err := Run(context.Background(), fields, CampaignSpec{RelErrorBound: 1e-3, Workers: 4, GroupParam: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,9 +302,7 @@ func TestPipelinedCompressErrorNotMasked(t *testing.T) {
 	bad := &datagen.Field{App: "CESM", Name: "broken", Dims: []int{10, 10},
 		Data: make([]float64, 5), ElementSize: 8}
 	fields = append(fields, bad)
-	_, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, Workers: 2, GroupParam: 2},
-	})
+	_, err := Run(context.Background(), fields, CampaignSpec{RelErrorBound: 1e-3, Workers: 2, GroupParam: 2})
 	if err == nil {
 		t.Fatal("mismatched dims must error")
 	}
@@ -333,9 +316,7 @@ func TestPipelinedCompressErrorNotMasked(t *testing.T) {
 // raw bytes and pack/transfer over their on-the-wire volumes.
 func TestCampaignStageThroughput(t *testing.T) {
 	fields := pipelineFields(t, 6, 24)
-	res, err := RunPipelinedCampaign(context.Background(), fields, PipelineOptions{
-		CampaignOptions: CampaignOptions{RelErrorBound: 1e-3, Workers: 2, GroupParam: 3},
-	})
+	res, err := Run(context.Background(), fields, CampaignSpec{RelErrorBound: 1e-3, Workers: 2, GroupParam: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

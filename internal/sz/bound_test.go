@@ -78,3 +78,19 @@ func TestSampledCodesMatchesCompressBoundOnConstantField(t *testing.T) {
 		}
 	}
 }
+
+// Both bound modes must refuse non-positive and non-finite bounds up
+// front: a NaN or infinite bound passes a plain `<= 0` check, and
+// Compress would then write a stream its own Decompress rejects.
+func TestCompressRejectsNonFiniteBound(t *testing.T) {
+	data := []float64{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, eb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1e-3} {
+		for _, mode := range []BoundMode{BoundAbsolute, BoundRelative} {
+			cfg := DefaultConfig(eb)
+			cfg.BoundMode = mode
+			if stream, _, err := Compress(data, []int{8}, cfg); err == nil {
+				t.Errorf("bound %g (mode %v): Compress accepted it and wrote %d bytes", eb, mode, len(stream))
+			}
+		}
+	}
+}
