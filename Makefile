@@ -70,7 +70,9 @@ bench-hotpath:
 # Short fuzz pass over the stream parsers, the daemon wire layer, the
 # campaign journal, and the archive integrity frame: crafted streams
 # (including unknown codec magic), arbitrary HTTP bodies, corrupted journal
-# manifests, and mutated OCIF frames must error, never panic. Each target
+# manifests, and mutated OCIF frames must error, never panic. The interp
+# differential target checks the line kernel against the frozen per-point
+# traversal on random shapes, bounds, radii and non-finite values. Each target
 # fuzzes briefly from its checked-in seed corpus
 # (internal/sz/testdata/fuzz, internal/serve/testdata/fuzz,
 # internal/journal/testdata/fuzz, internal/integrity/testdata/fuzz).
@@ -78,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzHeaderParse -fuzztime=5s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzSplitChunked -fuzztime=5s
 	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzDecompress -fuzztime=10s
+	$(GO) test ./internal/sz -run='^$$' -fuzz=FuzzInterpVsReference -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzServeAPI -fuzztime=5s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalManifest -fuzztime=5s
 	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzIntegrityFrame -fuzztime=5s

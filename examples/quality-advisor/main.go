@@ -65,8 +65,8 @@ func main() {
 	}
 	fmt.Printf("\nselected rel-eb = %.0e; validating with a real compression...\n", best)
 
-	rng := metrics.ComputeRange(target.Data).Range
-	cfg := sz.DefaultConfig(best * rng)
+	cfg := sz.DefaultConfig(best)
+	cfg.BoundMode = sz.BoundRelative
 	stream, _, err := sz.Compress(target.Data, target.Dims, cfg)
 	if err != nil {
 		log.Fatal(err)

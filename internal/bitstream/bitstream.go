@@ -43,6 +43,47 @@ func NewWriterBuf(buf []byte) *Writer {
 	return &Writer{buf: buf}
 }
 
+// AppendPacked appends the low width bits of each v in vs to dst as
+// fixed-width MSB-first fields, zero-padding the last byte: the bytes a
+// fresh Writer returns from Bytes after WriteBits(v, width) for each v.
+// width must be in [0, 64]. The pending word stays in locals rather than
+// a Writer's fields, which is what fixed-width packing loops (szx's
+// packed blocks) need.
+func AppendPacked(dst []byte, vs []uint64, width uint) []byte {
+	if width == 0 {
+		return dst
+	}
+	mask := ^uint64(0)
+	if width < 64 {
+		mask = 1<<width - 1
+	}
+	var cur uint64
+	var nbit uint
+	for _, v := range vs {
+		v &= mask
+		if nbit+width < 64 {
+			cur = cur<<width | v
+			nbit += width
+			continue
+		}
+		// Fill the word, flush it, and seed the next with the remainder.
+		take := 64 - nbit
+		rem := width - take
+		cur = cur<<take | v>>rem
+		dst = binary.BigEndian.AppendUint64(dst, cur)
+		cur = v & (1<<rem - 1)
+		nbit = rem
+	}
+	if pad := (8 - nbit%8) % 8; pad > 0 {
+		cur <<= pad
+		nbit += pad
+	}
+	for ; nbit > 0; nbit -= 8 {
+		dst = append(dst, byte(cur>>(nbit-8)))
+	}
+	return dst
+}
+
 // WriteBits appends the low `width` bits of v to the stream, MSB first.
 // width must be in [0, 64].
 func (w *Writer) WriteBits(v uint64, width uint) {

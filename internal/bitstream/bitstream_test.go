@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -321,6 +322,32 @@ func BenchmarkPeekSkip(b *testing.B) {
 			_ = r.Peek(12)
 			if err := r.Skip(17); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestAppendPackedMatchesWriter: AppendPacked must emit exactly the bytes
+// a fresh Writer produces for the same fixed-width WriteBits sequence, for
+// every width, run length and word alignment, and leave dst's prefix
+// intact.
+func TestAppendPackedMatchesWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	prefix := []byte{0xAB, 0xCD}
+	for width := uint(0); width <= 64; width++ {
+		for _, n := range []int{0, 1, 2, 3, 7, 8, 63, 64, 65, 256, 301} {
+			vs := make([]uint64, n)
+			for i := range vs {
+				vs[i] = rng.Uint64() // high bits beyond width must be masked
+			}
+			w := NewWriter(0)
+			for _, v := range vs {
+				w.WriteBits(v, width)
+			}
+			want := append(append([]byte(nil), prefix...), w.Bytes()...)
+			got := AppendPacked(append([]byte(nil), prefix...), vs, width)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("width %d, %d values: AppendPacked differs from Writer", width, n)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -49,6 +50,38 @@ func TestCampaignSzxCodec(t *testing.T) {
 	}
 	if res.Files != 6 || res.Groups != 3 {
 		t.Errorf("files %d groups %d", res.Files, res.Groups)
+	}
+}
+
+// TestCampaignInfiniteValueField: a field holding +Inf has an infinite
+// value range, so its relative bound must resolve through sz.ValueRange's
+// fallback (range 1) instead of becoming an infinite absolute bound that
+// the codec rejects. The campaign completes on both codecs, the infinite
+// value survives exactly, and every finite value stays within its bound.
+func TestCampaignInfiniteValueField(t *testing.T) {
+	for _, name := range []string{sz.CodecName, szx.Name} {
+		t.Run(name, func(t *testing.T) {
+			fields := codecCampaignFields(t, 3)
+			inf := *fields[1]
+			inf.Data = append([]float64(nil), inf.Data...)
+			inf.Data[len(inf.Data)/3] = math.Inf(1)
+			fields[1] = &inf
+			res, err := Run(context.Background(), fields, CampaignSpec{
+				RelErrorBound: 1e-3,
+				Workers:       2,
+				GroupParam:    2,
+				Codec:         name,
+			})
+			if err != nil {
+				t.Fatalf("campaign with a +Inf field failed: %v", err)
+			}
+			if res.MaxRelError > 1e-3*(1+1e-9) {
+				t.Errorf("max relative error %g exceeds the bound", res.MaxRelError)
+			}
+			if len(res.DegradedFields) != 0 {
+				t.Errorf("fields %v quarantined; the codec should honour the fallback bound", res.DegradedFields)
+			}
+		})
 	}
 }
 

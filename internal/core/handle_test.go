@@ -93,14 +93,27 @@ func TestSubmitCancelMidStage(t *testing.T) {
 	}
 }
 
+// gateTransport holds every send until release is closed, so a test can
+// keep a campaign in flight for as long as it needs.
+type gateTransport struct{ release chan struct{} }
+
+func (g *gateTransport) Name() string { return "gate" }
+
+func (g *gateTransport) Send(ctx context.Context, name string, data []byte) (float64, error) {
+	select {
+	case <-g.release:
+		return 0, nil
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
 // Wait with an expired context returns the context error without
-// cancelling the campaign itself.
+// cancelling the campaign itself. Sends block until the first Wait has
+// returned, so the campaign cannot finish before that Wait's deadline.
 func TestWaitContextDoesNotCancelCampaign(t *testing.T) {
 	fields := pipelineFields(t, 2, 48)
-	tr := &SimulatedWANTransport{
-		Link:      &wan.Link{BandwidthMBps: 5, Concurrency: 2},
-		Timescale: 1,
-	}
+	tr := &gateTransport{release: make(chan struct{})}
 	c, err := Submit(context.Background(), fields, CampaignSpec{
 		RelErrorBound: 1e-3,
 		Workers:       2,
@@ -112,7 +125,9 @@ func TestWaitContextDoesNotCancelCampaign(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, err := c.Wait(ctx); err != context.DeadlineExceeded {
+	_, err = c.Wait(ctx)
+	close(tr.release)
+	if err != context.DeadlineExceeded {
 		t.Fatalf("Wait with dead context = %v, want deadline exceeded", err)
 	}
 	if res, err := c.Wait(context.Background()); err != nil || res == nil {

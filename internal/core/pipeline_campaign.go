@@ -322,10 +322,7 @@ func newCampaignRun(fields []*datagen.Field, rs *resolvedSpec, st runState) (*ca
 	res := &CampaignResult{Files: len(fields), Pipelined: rs.spec.Engine == EnginePipelined, Codec: rs.codec}
 	for i, f := range fields {
 		res.RawBytes += int64(f.RawBytes())
-		r := metrics.ComputeRange(f.Data).Range
-		if r <= 0 {
-			r = 1
-		}
+		r := sz.ValueRange(f.Data)
 		relEB, pred, codecName := rs.spec.RelErrorBound, rs.spec.Predictor, rs.codec
 		if st.perField != nil {
 			if s := st.perField[i]; s.relEB > 0 {

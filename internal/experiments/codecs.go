@@ -76,6 +76,10 @@ func CodecShootout(scale Scale) (*Result, error) {
 		xfer float64 // link-model makespan over realized archives
 		e2e  float64 // pipelined-wall model max(C,T)+min(C,T)/G
 	}
+	absEBs := make([]float64, len(fields))
+	for i, f := range fields {
+		absEBs[i] = relConfig(f.Data, 1e-3).ErrorBound
+	}
 	legs := map[string]map[string]*leg{} // codec → link → leg
 	psnr := map[string]float64{}         // codec → min PSNR across fields
 	for _, codecName := range shootoutCodecs {
@@ -105,12 +109,8 @@ func CodecShootout(scale Scale) (*Result, error) {
 		// PSNR is link-independent; measure it once per codec from the
 		// fast-link campaign's configuration.
 		minP := math.Inf(1)
-		for _, f := range fields {
-			rng := metrics.ComputeRange(f.Data).Range
-			if rng <= 0 {
-				rng = 1
-			}
-			stream, err := compressWithCodec(codecName, f, 1e-3*rng)
+		for i, f := range fields {
+			stream, err := compressWithCodec(codecName, f, absEBs[i])
 			if err != nil {
 				return nil, err
 			}
@@ -174,9 +174,23 @@ func CodecShootout(scale Scale) (*Result, error) {
 
 	sz3Fast, szxFast := legs[sz.CodecName][fast.Name], legs[szx.Name][fast.Name]
 	sz3Slow, szxSlow := legs[sz.CodecName][slow.Name], legs[szx.Name][slow.Name]
-	speedup := math.Inf(1)
-	if szxFast.run.CompressSec > 0 {
-		speedup = sz3Fast.run.CompressSec / szxFast.run.CompressSec
+	// The speedup is a paired, interleaved median of per-round ratios, as
+	// in HotPath: each round compresses every field serially with szx and
+	// then with sz3, so host-load epochs land on both sides instead of
+	// skewing whichever single campaign they overlapped.
+	compressAll := func(codecName string) func() error {
+		return func() error {
+			for i, f := range fields {
+				if _, err := compressWithCodec(codecName, f, absEBs[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	_, _, speedup, err := pairedMedian(compressAll(szx.Name), compressAll(sz.CodecName))
+	if err != nil {
+		return nil, fmt.Errorf("shootout speedup: %w", err)
 	}
 
 	var sb strings.Builder

@@ -16,13 +16,16 @@ import (
 // the profiler attributed to Compress/Decompress went.
 //
 // Zeroing discipline: freqs is cleared on reuse; recon deliberately is
-// NOT. Every predictor traversal writes recon[i] in process(i, ·) before
-// any later prediction can read index i, and never reads an index it has
-// not yet written: Lorenzo guards every neighbor load with coordinate
-// checks, regression predicts from fitted coefficients alone, and the
-// interp traversal's 1-D predictions only load lattice points refined at
-// a coarser level or an earlier axis pass of the same level (with a
-// boundary fallback to the already-written left neighbor). Compression
+// NOT. Every predictor traversal writes recon[i] (in process(i, ·), or in
+// the interp line kernel's encodeRun/decodeRun) before any later
+// prediction can read index i, and never reads an index it has not yet
+// written: Lorenzo guards every neighbor load with coordinate checks,
+// regression predicts from fitted coefficients alone, and the interp line
+// kernel's predictions only load lattice points at x±h and x±3h along the
+// line, refined at a coarser level or an earlier axis pass of the same
+// level (with a boundary fallback to the already-written left neighbor).
+// A line's own points are written only after its predictions are taken,
+// and never read by them. Compression
 // output therefore cannot depend on recon's initial contents — the
 // property TestCompressUnaffectedByDirtyArena pins by poisoning pooled
 // buffers with NaN and asserting byte-identical streams across every

@@ -94,3 +94,27 @@ func TestCompressRejectsNonFiniteBound(t *testing.T) {
 		}
 	}
 }
+
+// TestValueRange pins the range helper both bound resolvers share: NaNs
+// are skipped, degenerate ranges fall back to 1, and NaN-free finite
+// fields get exactly max − min.
+func TestValueRange(t *testing.T) {
+	cases := []struct {
+		name string
+		data []float64
+		want float64
+	}{
+		{"finite", []float64{3, -1.5, 7.25, 0}, 8.75},
+		{"nan skipped", []float64{math.NaN(), 4, 1}, 3},
+		{"all nan", []float64{math.NaN(), math.NaN()}, 1},
+		{"empty", nil, 1},
+		{"constant", []float64{2, 2}, 1},
+		{"plus inf", []float64{0, math.Inf(1), 5}, 1},
+		{"minus inf", []float64{math.Inf(-1), 5}, 1},
+	}
+	for _, c := range cases {
+		if got := ValueRange(c.data); got != c.want {
+			t.Errorf("%s: ValueRange = %g, want %g", c.name, got, c.want)
+		}
+	}
+}

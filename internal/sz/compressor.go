@@ -36,12 +36,17 @@ type Stats struct {
 // traversal drives one predictor pass. The same traversal code runs during
 // compression (data != nil: quantize and record codes/literals) and during
 // decompression (data == nil: consume codes/literals to rebuild recon).
+// Lorenzo and regression code one point at a time through process; the
+// interp line kernel (interp.go) codes whole runs through encodeRun and
+// decodeRun with the same arithmetic.
 //
 // Quantization codes travel in the compact huffman.SymbolStream
 // representation (two bytes per symbol; codes ≥ huffman.WideEscape ride
 // the wide-escape side lane), and in encode mode the symbol frequency
 // count is fused into the traversal itself when freqs is non-nil — the
-// entropy stage no longer pays a second pass over the code stream.
+// entropy stage no longer pays a second pass over the code stream. The
+// interp line kernel requires freqs; only the reference path, whose
+// interp traversal goes through process, leaves it nil.
 type traversal struct {
 	q        *quant.Quantizer
 	data     []float64 // original values; nil in decode mode

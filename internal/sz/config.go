@@ -144,16 +144,26 @@ func DefaultConfig(eb float64) Config {
 
 // AbsoluteBound resolves the configured error bound against data: with
 // BoundAbsolute it is ErrorBound itself; with BoundRelative it is
-// ErrorBound × the data's value range, falling back to a range of 1 for
-// constant, empty, or non-finite data. Compress and SampledCodes both
-// resolve through this helper, so the predictor's cheap feature pass
-// quantizes at exactly the bound the real compression run uses — including
-// on degenerate fields.
+// ErrorBound × ValueRange(data), so constant, empty, or non-finite data
+// fall back to a range of 1. Compress and SampledCodes both resolve
+// through this helper, so the predictor's cheap feature pass quantizes at
+// exactly the bound the real compression run uses — including on
+// degenerate fields.
 func (c Config) AbsoluteBound(data []float64) float64 {
-	if c.BoundMode != BoundRelative || len(data) == 0 {
+	if c.BoundMode != BoundRelative {
 		return c.ErrorBound
 	}
-	lo, hi := data[0], data[0]
+	return c.ErrorBound * ValueRange(data)
+}
+
+// ValueRange returns max − min over data's non-NaN values, the range a
+// relative error bound scales by. A degenerate range — empty or all-NaN
+// data, a constant field, or an infinite range from ±Inf values — falls
+// back to 1, so the resolved bound is always positive and finite. It is a
+// min/max-only scan; callers that need one range for both a bound and a
+// relative-error report (the campaign engine) use it directly.
+func ValueRange(data []float64) float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range data {
 		if v < lo {
 			lo = v
@@ -163,10 +173,10 @@ func (c Config) AbsoluteBound(data []float64) float64 {
 		}
 	}
 	rng := hi - lo
-	if rng <= 0 || math.IsNaN(rng) || math.IsInf(rng, 0) {
-		rng = 1
+	if !(rng > 0) || math.IsInf(rng, 0) {
+		return 1
 	}
-	return c.ErrorBound * rng
+	return rng
 }
 
 // withDefaults fills zero fields with defaults and validates.

@@ -1,6 +1,8 @@
 package sz
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"ocelot/internal/codec"
@@ -149,6 +151,102 @@ func FuzzHeaderParse(f *testing.F) {
 		}
 		if p, err := parseInnerPayload(stream); err == nil && p == nil {
 			t.Fatal("parseInnerPayload succeeded with nil payload")
+		}
+	})
+}
+
+// fuzzInterpField derives an interp run from fuzz inputs: a 1-D to 4-D
+// shape of at most 4096 points, a smooth signal perturbed by raw (bytes
+// 0xFF, 0xFE and 0xFD inject NaN, +Inf and -Inf, 0xFC a huge value), and
+// a config whose radius may exceed 2^15 so codes ride the wide lane.
+func fuzzInterpField(nd uint8, ext [4]uint8, linear bool, eb float64, radius uint16, raw []byte) ([]float64, []int, Config) {
+	dims := make([]int, 1+int(nd)%4)
+	n := 1
+	for i := range dims {
+		dims[i] = 1 + int(ext[i])%24
+		n *= dims[i]
+	}
+	for n > 4096 {
+		big := 0
+		for i := range dims {
+			if dims[i] > dims[big] {
+				big = i
+			}
+		}
+		n = n / dims[big] * (dims[big] / 2)
+		dims[big] /= 2
+	}
+	data := make([]float64, n)
+	for i := range data {
+		v := 10 * math.Sin(float64(i)*0.37)
+		if len(raw) > 0 {
+			switch b := raw[i%len(raw)]; b {
+			case 0xFF:
+				v = math.NaN()
+			case 0xFE:
+				v = math.Inf(1)
+			case 0xFD:
+				v = math.Inf(-1)
+			case 0xFC:
+				v = 1e300
+			default:
+				v += float64(int8(b)) * 0.01
+			}
+		}
+		data[i] = v
+	}
+	if !(eb > 0) || math.IsInf(eb, 0) {
+		eb = 1e-3
+	}
+	cfg := DefaultConfig(eb)
+	if linear {
+		cfg.Interp = InterpLinear
+	}
+	cfg.Radius = int(radius)
+	return data, dims, cfg
+}
+
+// FuzzInterpVsReference pins the interp line kernel to the frozen
+// per-point traversal in reference.go: for any shape, mode, bound, radius
+// and values (non-finite included), Compress must emit the reference's
+// stream byte for byte and Decompress must rebuild the reference decoder's
+// values bit for bit.
+func FuzzInterpVsReference(f *testing.F) {
+	smooth := []byte{0, 1, 2, 3, 250, 7}
+	nonFinite := []byte{0, 0xFF, 3, 0xFE, 9, 0xFD, 0xFC, 4}
+	f.Add(uint8(1), uint8(29), uint8(40), uint8(0), uint8(0), false, 1e-3, uint16(0), smooth)
+	f.Add(uint8(2), uint8(10), uint8(12), uint8(16), uint8(0), true, 1e-3, uint16(0), smooth)
+	f.Add(uint8(3), uint8(4), uint8(6), uint8(5), uint8(8), false, 1e-2, uint16(0), smooth)
+	f.Add(uint8(3), uint8(4), uint8(0), uint8(1), uint8(2), true, 1e-3, uint16(0), smooth)
+	f.Add(uint8(0), uint8(2), uint8(0), uint8(0), uint8(0), false, 1e-3, uint16(0), smooth)
+	f.Add(uint8(1), uint8(20), uint8(23), uint8(0), uint8(0), false, 1e-3, uint16(0), nonFinite)
+	f.Add(uint8(0), uint8(23), uint8(0), uint8(0), uint8(0), true, 1e-6, uint16(40000), smooth)
+	f.Add(uint8(1), uint8(17), uint8(11), uint8(0), uint8(0), false, 1e308, uint16(3), nonFinite)
+	f.Fuzz(func(t *testing.T, nd, e0, e1, e2, e3 uint8, linear bool, eb float64, radius uint16, raw []byte) {
+		data, dims, cfg := fuzzInterpField(nd, [4]uint8{e0, e1, e2, e3}, linear, eb, radius, raw)
+		got, _, err := Compress(data, dims, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := CompressReference(data, dims, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("dims %v %v: stream differs from reference (%d vs %d bytes)", dims, cfg.Interp, len(got), len(want))
+		}
+		recon, _, err := Decompress(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refRecon, _, err := DecompressReference(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range recon {
+			if math.Float64bits(recon[i]) != math.Float64bits(refRecon[i]) {
+				t.Fatalf("dims %v %v: reconstruction differs at %d: %g vs %g", dims, cfg.Interp, i, recon[i], refRecon[i])
+			}
 		}
 	})
 }

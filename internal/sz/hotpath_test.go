@@ -27,41 +27,87 @@ func hotpathField(n int) []float64 {
 	return data
 }
 
+// hotpathCase is one predictor/shape/config combination the hot path must
+// reproduce byte for byte. Zero fields take the defaults: cubic interp, a
+// 1e-3 absolute bound and the default radius.
+type hotpathCase struct {
+	name      string
+	dims      []int
+	pred      Predictor
+	interp    InterpMode
+	eb        float64
+	radius    int
+	nonFinite bool // inject NaN and ±Inf values
+}
+
+func (tc hotpathCase) config() Config {
+	eb := tc.eb
+	if eb == 0 {
+		eb = 1e-3
+	}
+	cfg := DefaultConfig(eb)
+	cfg.Predictor = tc.pred
+	if tc.interp != 0 {
+		cfg.Interp = tc.interp
+	}
+	cfg.Radius = tc.radius
+	return cfg
+}
+
+func (tc hotpathCase) field() []float64 {
+	n := 1
+	for _, d := range tc.dims {
+		n *= d
+	}
+	data := hotpathField(n)
+	if tc.nonFinite {
+		for i := 0; i < n; i += 37 {
+			data[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[(i/37)%3]
+		}
+	}
+	return data
+}
+
 // hotpathCases crosses predictors with dimensionalities (odd extents, so
-// boundary code paths run).
-func hotpathCases() []struct {
-	name string
-	dims []int
-	pred Predictor
-} {
-	return []struct {
-		name string
-		dims []int
-		pred Predictor
-	}{
-		{"interp-1d", []int{1200}, PredictorInterp},
-		{"interp-2d", []int{30, 41}, PredictorInterp},
-		{"interp-3d", []int{11, 13, 17}, PredictorInterp},
-		{"lorenzo-2d", []int{29, 43}, PredictorLorenzo},
-		{"lorenzo-4d", []int{5, 7, 6, 9}, PredictorLorenzo},
-		{"regression-2d", []int{33, 37}, PredictorRegression},
-		{"regression-3d", []int{10, 12, 11}, PredictorRegression},
+// boundary code paths run). The interp cases cover both modes in 1-D
+// through 4-D, extents 1–5 where the cubic interior is empty or h ≥ n,
+// non-finite values, and a radius above 2^15 so codes ride the wide lane.
+func hotpathCases() []hotpathCase {
+	return []hotpathCase{
+		{name: "interp-1d", dims: []int{1200}, pred: PredictorInterp},
+		{name: "interp-2d", dims: []int{30, 41}, pred: PredictorInterp},
+		{name: "interp-3d", dims: []int{11, 13, 17}, pred: PredictorInterp},
+		{name: "lorenzo-2d", dims: []int{29, 43}, pred: PredictorLorenzo},
+		{name: "lorenzo-4d", dims: []int{5, 7, 6, 9}, pred: PredictorLorenzo},
+		{name: "regression-2d", dims: []int{33, 37}, pred: PredictorRegression},
+		{name: "regression-3d", dims: []int{10, 12, 11}, pred: PredictorRegression},
+		{name: "interp-linear-1d", dims: []int{1201}, pred: PredictorInterp, interp: InterpLinear},
+		{name: "interp-linear-2d", dims: []int{31, 40}, pred: PredictorInterp, interp: InterpLinear},
+		{name: "interp-linear-3d", dims: []int{9, 16, 13}, pred: PredictorInterp, interp: InterpLinear},
+		{name: "interp-linear-4d", dims: []int{5, 6, 7, 9}, pred: PredictorInterp, interp: InterpLinear},
+		{name: "interp-cubic-4d", dims: []int{7, 5, 9, 6}, pred: PredictorInterp},
+		{name: "interp-extent-1", dims: []int{1}, pred: PredictorInterp},
+		{name: "interp-extent-2", dims: []int{2}, pred: PredictorInterp},
+		{name: "interp-extent-3-linear", dims: []int{3}, pred: PredictorInterp, interp: InterpLinear},
+		{name: "interp-extents-1-5", dims: []int{1, 5, 3}, pred: PredictorInterp},
+		{name: "interp-extents-4-5", dims: []int{4, 5}, pred: PredictorInterp},
+		{name: "interp-extents-5-1-2-3", dims: []int{5, 1, 2, 3}, pred: PredictorInterp, interp: InterpLinear},
+		{name: "interp-nonfinite-2d", dims: []int{23, 29}, pred: PredictorInterp, nonFinite: true},
+		{name: "interp-nonfinite-linear-3d", dims: []int{9, 10, 11}, pred: PredictorInterp, interp: InterpLinear, nonFinite: true},
+		{name: "interp-wide-2d", dims: []int{30, 41}, pred: PredictorInterp, eb: 1e-5, radius: 40000},
+		{name: "interp-wide-linear-1d", dims: []int{999}, pred: PredictorInterp, interp: InterpLinear, eb: 1e-5, radius: 40000},
 	}
 }
 
-// TestCompressMatchesReference: the overhauled hot path must emit streams
-// byte-identical to the pre-overhaul reference path, and both must report
-// identical run statistics, for every predictor and dimensionality.
+// TestCompressMatchesReference: the production hot path must emit streams
+// byte-identical to the reference path (pre-overhaul entropy stage and the
+// frozen per-point interp traversal), both must report identical run
+// statistics, and both decoders must rebuild identical values, for every
+// predictor and dimensionality.
 func TestCompressMatchesReference(t *testing.T) {
 	for _, tc := range hotpathCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			n := 1
-			for _, d := range tc.dims {
-				n *= d
-			}
-			data := hotpathField(n)
-			cfg := DefaultConfig(1e-3)
-			cfg.Predictor = tc.pred
+			data, cfg := tc.field(), tc.config()
 			fast, fastStats, err := Compress(data, tc.dims, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -89,11 +135,11 @@ func TestCompressMatchesReference(t *testing.T) {
 				t.Fatalf("dims %v", fastDims)
 			}
 			for i := range fastRecon {
-				if fastRecon[i] != refRecon[i] {
+				if math.Float64bits(fastRecon[i]) != math.Float64bits(refRecon[i]) {
 					t.Fatalf("reconstruction differs at %d: %g vs %g", i, fastRecon[i], refRecon[i])
 				}
 			}
-			if m := MaxAbsError(data, fastRecon); m > 1e-3*(1+1e-9) {
+			if m := MaxAbsError(data, fastRecon); m > cfg.ErrorBound*(1+1e-9) {
 				t.Fatalf("error %g exceeds bound", m)
 			}
 		})
@@ -108,13 +154,8 @@ func TestCompressMatchesReference(t *testing.T) {
 func TestCompressUnaffectedByDirtyArena(t *testing.T) {
 	for _, tc := range hotpathCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			n := 1
-			for _, d := range tc.dims {
-				n *= d
-			}
-			data := hotpathField(n)
-			cfg := DefaultConfig(1e-3)
-			cfg.Predictor = tc.pred
+			data, cfg := tc.field(), tc.config()
+			n := len(data)
 			ref, _, err := CompressReference(data, tc.dims, cfg)
 			if err != nil {
 				t.Fatal(err)

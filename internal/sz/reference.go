@@ -9,22 +9,30 @@ import (
 	"ocelot/internal/quant"
 )
 
-// This file pins the pre-overhaul entropy stage of the sz3 pipeline as an
-// executable baseline: quantization codes materialized as []int (eight
-// bytes per symbol), a separate frequency-count pass, the regrow-prone
-// ReferenceEncode, the bit-by-bit ReferenceDecode, and fresh allocations
-// for every buffer. The predictor traversal itself is shared with the
-// production path — the overhaul did not touch the prediction math — so
-// the pair isolates exactly the entropy-stage and allocation differences.
+// This file pins the pre-overhaul sz3 pipeline as an executable baseline.
+// Its entropy stage keeps the old shape: quantization codes materialized as
+// []int (eight bytes per symbol), a separate frequency-count pass, the
+// regrow-prone ReferenceEncode, the bit-by-bit ReferenceDecode, and fresh
+// allocations for every buffer. Its interpolation traversal is the frozen
+// per-point odometer (refInterpTraverse below): one interpPredict-style
+// call and one traversal.process call per point, shared between encode and
+// decode. The production interp path runs the line kernel in interp.go
+// instead, so the pair measures both the entropy-stage and the
+// traversal differences. Lorenzo and regression still share their
+// traversals (and process) with production.
 //
 // Two jobs, mirroring huffman's reference.go:
 //
-//   - Byte-compatibility oracle: TestCompressMatchesReference asserts the
-//     overhauled path emits bit-identical streams and reconstructions.
+//   - Byte-compatibility oracle: TestCompressMatchesReference and
+//     FuzzInterpVsReference assert the production path emits bit-identical
+//     streams and reconstructions. Because the interp traversal here is an
+//     independent implementation, a change to the line kernel that alters
+//     visit order, prediction arithmetic or escape rules shows up as a
+//     mismatch, not only as a golden-file diff.
 //   - Benchmark baseline: the HotPath experiment and BENCH_hotpath.json
 //     report the production path's MB/s beside these functions' on the
-//     same machine, so the ≥2x decompress / ≥1.3x compress targets are a
-//     same-host relative measure rather than a stale absolute number.
+//     same machine, so speedups are a same-host relative measure rather
+//     than a stale absolute number.
 
 // CompressReference is the pre-overhaul Compress. It produces streams
 // byte-identical to Compress — only slower, with the old allocation
@@ -51,7 +59,7 @@ func CompressReference(data []float64, dims []int, cfg Config) ([]byte, *Stats, 
 		// freqs nil: the reference counts frequencies in its own pass
 		// below, exactly as the pre-overhaul encodeCodes did.
 	}
-	if err := runPredictor(c, dims, cfg); err != nil {
+	if err := runPredictorReference(c, dims, cfg); err != nil {
 		return nil, nil, err
 	}
 	codes := c.syms.Ints() // the old []int materialization
@@ -142,7 +150,7 @@ func DecompressReference(stream []byte) ([]float64, []int, error) {
 		Radius:     h.radius,
 		BlockSide:  6,
 	}
-	if err := runPredictor(c, h.dims, cfg); err != nil {
+	if err := runPredictorReference(c, h.dims, cfg); err != nil {
 		return nil, nil, err
 	}
 	if c.litIdx != len(c.literals) {
@@ -212,4 +220,147 @@ func refSymbolEntropy(freqs []uint64, total int) float64 {
 		h -= p * math.Log2(p)
 	}
 	return h
+}
+
+// runPredictorReference is runPredictor with the frozen per-point interp
+// traversal in place of the line kernel.
+func runPredictorReference(c *traversal, dims []int, cfg Config) error {
+	if cfg.Predictor == PredictorInterp {
+		refInterpTraverse(c, dims, cfg.Interp)
+		return nil
+	}
+	return runPredictor(c, dims, cfg)
+}
+
+// refInterpTraverse is the pre-line-kernel SZ3-interp traversal, frozen as
+// the oracle for interp.go. Values on a coarse lattice are refined level by
+// level: at each level with spacing `stride`, the midpoints (odd multiples
+// of stride/2) along each axis are predicted by 1-D interpolation from
+// already-reconstructed lattice neighbors at distance stride/2.
+//
+// The traversal visits every point exactly once: a point whose minimum
+// 2-adic valuation across coordinates is v is processed at level h = 2^v on
+// the last axis whose coordinate has valuation v. The same deterministic
+// order runs during compression and decompression.
+func refInterpTraverse(c *traversal, dims []int, mode InterpMode) {
+	nd := len(dims)
+	strides := rowMajorStrides(dims)
+	maxDim := 0
+	for _, d := range dims {
+		if d > maxDim {
+			maxDim = d
+		}
+	}
+	// Seed: the origin predicted as 0.
+	c.process(0, 0)
+	if maxDim == 1 {
+		// Degenerate: handle remaining points (other dims may exceed 1 only
+		// if maxDim > 1, so nothing remains).
+		return
+	}
+	top := 1
+	for top < maxDim {
+		top <<= 1
+	}
+	for stride := top; stride >= 2; stride >>= 1 {
+		h := stride / 2
+		for d := 0; d < nd; d++ {
+			refInterpAxis(c, dims, strides, d, stride, h, mode)
+		}
+	}
+}
+
+// refInterpAxis predicts all points p with p[d] ≡ h (mod stride), p[a<d] ≡ 0
+// (mod h), p[a>d] ≡ 0 (mod stride).
+func refInterpAxis(c *traversal, dims, strides []int, d, stride, h int, mode InterpMode) {
+	nd := len(dims)
+	// Step sizes per axis for the odometer.
+	steps := make([]int, nd)
+	for a := 0; a < nd; a++ {
+		switch {
+		case a < d:
+			steps[a] = h
+		case a == d:
+			steps[a] = stride
+		default:
+			steps[a] = stride
+		}
+	}
+	coords := make([]int, nd)
+	coords[d] = h
+	if coords[d] >= dims[d] {
+		return
+	}
+	axisStride := strides[d]
+	// The flat index is maintained incrementally: stepping along axis d
+	// (the overwhelmingly common advance) adds a constant, and only a
+	// carry into another axis — once per line — recomputes from coords.
+	// The visit order is identical to the original full recomputation, so
+	// the emitted codes (and stream bytes) are unchanged.
+	idx := 0
+	for a := 0; a < nd; a++ {
+		idx += coords[a] * strides[a]
+	}
+	dStep := steps[d] * axisStride
+	for {
+		pred := refInterpPredict(c.recon, coords[d], dims[d], axisStride, idx, h, mode)
+		c.process(idx, pred)
+		// Odometer advance: axis d fastest (cache-friendlier along lines),
+		// then later axes, then earlier axes.
+		if coords[d]+steps[d] < dims[d] {
+			coords[d] += steps[d]
+			idx += dStep
+			continue
+		}
+		if !refAdvanceInterpCarry(coords, dims, steps, d) {
+			return
+		}
+		idx = 0
+		for a := 0; a < nd; a++ {
+			idx += coords[a] * strides[a]
+		}
+	}
+}
+
+// refAdvanceInterpCarry handles the interp odometer's carry case: axis d has
+// run off its extent, so reset it to h and advance the next axis
+// (nd-1..0, skipping d). Returns false when the enumeration is complete.
+func refAdvanceInterpCarry(coords, dims, steps []int, d int) bool {
+	nd := len(dims)
+	coords[d] = steps[d] / 2 // reset to h
+	for a := nd - 1; a >= 0; a-- {
+		if a == d {
+			continue
+		}
+		coords[a] += steps[a]
+		if coords[a] < dims[a] {
+			return true
+		}
+		coords[a] = 0
+	}
+	return false
+}
+
+// refInterpPredict computes the 1-D interpolation prediction for position x
+// along an axis with the given element stride. idx is the flat index of the
+// point; neighbors at ±h, ±3h along the axis are addressed relative to it.
+func refInterpPredict(recon []float64, x, dimLen, axisStride, idx, h int, mode InterpMode) float64 {
+	left := recon[idx-h*axisStride]
+	hasRight := x+h < dimLen
+	if !hasRight {
+		// Boundary: fall back to the nearest known value.
+		return left
+	}
+	right := recon[idx+h*axisStride]
+	if mode == InterpCubic {
+		hasL3 := x-3*h >= 0
+		hasR3 := x+3*h < dimLen
+		if hasL3 && hasR3 {
+			l3 := recon[idx-3*h*axisStride]
+			r3 := recon[idx+3*h*axisStride]
+			// 4-point cubic midpoint formula (-1/16, 9/16, 9/16, -1/16).
+			return (-l3 + 9*left + 9*right - r3) / 16
+		}
+	}
+	return (left + right) / 2
 }

@@ -101,7 +101,6 @@ func CompressBlocked(data []float64, dims []int, absEB float64, blockSize int) (
 	out := make([]byte, 0, headerFixed+8*len(dims)+len(data)/2)
 	out = marshalHeader(out, absEB, blockSize, dims)
 
-	w := bitstream.NewWriter(blockSize * 2)
 	var b8 [8]byte
 	putF64 := func(v float64) {
 		binary.LittleEndian.PutUint64(b8[:], math.Float64bits(v))
@@ -127,11 +126,7 @@ func CompressBlocked(data []float64, dims []int, absEB float64, blockSize int) (
 		case tagPacked:
 			putF64(mid) // base
 			out = append(out, nbits)
-			w.Reset()
-			for _, k := range ks[:len(block)] {
-				w.WriteBits(k, uint(nbits))
-			}
-			out = append(out, w.Bytes()...)
+			out = bitstream.AppendPacked(out, ks[:len(block)], uint(nbits))
 		case tagRaw:
 			for _, v := range block {
 				putF64(v)

@@ -2,6 +2,12 @@
 // in every spelling the repo has used, plus the one sanctioned site.
 package d
 
+import (
+	"math"
+
+	"ocelot/internal/metrics"
+)
+
 // Config mimics sz.Config for the golden cases.
 type Config struct {
 	ErrorBound float64
@@ -26,6 +32,55 @@ func BadReversed(rng, eb float64) float64 {
 // BadField resolves from a config field instead of a local.
 func BadField(c Config, rng float64) float64 {
 	return c.ErrorBound * rng // want `ad-hoc relative-to-absolute bound arithmetic`
+}
+
+// fieldConfig mimics the campaign engine's resolved per-field settings.
+type fieldConfig struct {
+	absEB, valueRange float64
+}
+
+// BadCampaignRun reproduces the campaign engine's old per-field bound
+// resolution: the raw range is named r, so only its origin gives it away,
+// and one +Inf value makes the bound infinite.
+func BadCampaignRun(fields [][]float64, relEB float64) []fieldConfig {
+	cfgs := make([]fieldConfig, len(fields))
+	for i, f := range fields {
+		r := metrics.ComputeRange(f).Range
+		if r <= 0 {
+			r = 1
+		}
+		cfgs[i] = fieldConfig{absEB: relEB * r, valueRange: r} // want `raw metrics.ComputeRange`
+	}
+	return cfgs
+}
+
+// BadInlineRange scales by the raw range without naming it.
+func BadInlineRange(data []float64) float64 {
+	return 1e-3 * float64(metrics.ComputeRange(data).Range) // want `raw metrics.ComputeRange`
+}
+
+// BadAssignedLater assigns the raw range with = rather than :=.
+func BadAssignedLater(data []float64, tol float64) float64 {
+	var span float64
+	span = metrics.ComputeRange(data).Range
+	return (span) * tol // want `raw metrics.ComputeRange`
+}
+
+// BadVarDecl declares the raw range with var.
+func BadVarDecl(data []float64, relEB float64) float64 {
+	var width = metrics.ComputeRange(data).Range
+	return relEB * width // want `raw metrics.ComputeRange`
+}
+
+// OKRangeForPSNR uses the raw range for a log-scale score, not a bound.
+func OKRangeForPSNR(data []float64, mse float64) float64 {
+	r := metrics.ComputeRange(data).Range
+	return 20*math.Log10(r) - 10*math.Log10(mse)
+}
+
+// OKOtherStat multiplies a different statistic of the same scan.
+func OKOtherStat(data []float64, k float64) float64 {
+	return k * metrics.ComputeRange(data).Std
 }
 
 // AbsoluteBound is the sanctioned resolver: the same arithmetic here is
