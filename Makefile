@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-hotpath bench-serve bench-resume bench-obs bench-integrity fuzz-smoke lint cover tier1 perfbench-check plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
+.PHONY: build test race bench bench-json bench-hotpath fuzz-smoke lint cover tier1 perfbench-check plan-smoke serve-smoke resume-smoke integrity-smoke doc-check
 
 build:
 	$(GO) build ./...
@@ -15,51 +15,16 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Machine-readable benchmarks: regenerates the CodecShootout artifact
-# (wall/ratio/PSNR per codec/link → BENCH_codecs.json), the HotPath
-# artifact (entropy hot-path MB/s vs the pinned pre-overhaul reference →
-# BENCH_hotpath.json), the ServeFairness artifact (multi-tenant scheduler
-# fairness/throughput/cancel latency → BENCH_serve.json), and the
-# FaultResume artifact (crash-resume digest identity, resent-bytes
-# fraction, flap retries → BENCH_resume.json), and the ObsOverhead
-# artifact (instrumented-but-disabled vs baseline campaign wall →
-# BENCH_obs.json), so all perf trajectories are tracked as diffable
-# files.
+# Machine-readable benchmarks: regenerates the tracked BENCH_*.json
+# artifacts (tools/benchjson's table: CodecShootout → BENCH_codecs.json,
+# HotPath → BENCH_hotpath.json, ServeFairness → BENCH_serve.json,
+# FaultResume → BENCH_resume.json, ObsOverhead → BENCH_obs.json,
+# Integrity → BENCH_integrity.json), so perf trajectories are tracked as
+# diffable files. ONLY=<comma-separated driver IDs> regenerates a subset,
+# e.g. `make bench-json ONLY=ServeFairness`.
+ONLY ?=
 bench-json:
-	$(GO) run ./tools/benchjson -shrink 24 -out BENCH_codecs.json \
-		-hotpath-out BENCH_hotpath.json -serve-out BENCH_serve.json \
-		-resume-out BENCH_resume.json -obs-out BENCH_obs.json \
-		-integrity-out BENCH_integrity.json
-
-# Multi-tenant serve load test alone: regenerates BENCH_serve.json (Jain
-# fairness index, per-tenant and aggregate MB/s, cancel latency).
-bench-serve:
-	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out BENCH_serve.json -resume-out '' -obs-out '' \
-		-integrity-out ''
-
-# Fault-tolerance artifact alone: regenerates BENCH_resume.json (resume
-# wall vs full-rerun wall, resent-bytes fraction, retry/fail-fast counts).
-bench-resume:
-	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out '' -resume-out BENCH_resume.json -obs-out '' \
-		-integrity-out ''
-
-# Observability-overhead artifact alone: regenerates BENCH_obs.json
-# (instrumented-but-disabled vs baseline wall, acceptance < 2%, plus
-# span/metric coverage from one enabled run).
-bench-obs:
-	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out '' -resume-out '' -obs-out BENCH_obs.json \
-		-integrity-out ''
-
-# End-to-end integrity artifact alone: regenerates BENCH_integrity.json
-# (corrupted-link digest identity, injected-vs-detected reconciliation,
-# retransmit ledger, bound-guarantee quarantine coverage).
-bench-integrity:
-	$(GO) run ./tools/benchjson -shrink 24 -out '' -hotpath-out '' \
-		-serve-out '' -resume-out '' -obs-out '' \
-		-integrity-out BENCH_integrity.json
+	$(GO) run ./tools/benchjson -shrink 24 -only '$(ONLY)'
 
 # Entropy hot-path throughput benchmarks in smoke mode: compile and run
 # each once so the tracked figures cannot rot between bench-json refreshes.

@@ -104,7 +104,7 @@ func BenchmarkAblation_Predictor(b *testing.B) {
 // BenchmarkAblation_LosslessBackend compares the final lossless stage.
 func BenchmarkAblation_LosslessBackend(b *testing.B) {
 	f := benchField(b)
-	for _, be := range []lossless.Backend{lossless.None, lossless.Deflate, lossless.LZSS} {
+	for _, be := range []lossless.Backend{lossless.None, lossless.Deflate} {
 		b.Run(be.String(), func(b *testing.B) {
 			cfg := sz.DefaultConfig(1e-3)
 			cfg.Backend = be

@@ -1,6 +1,6 @@
 // Seismic-RTM: parallel compression scaling on reverse-time-migration
 // wavefield snapshots (the paper's Fig 9 scenario). Shows how worker count
-// cuts compression wall time on the real executor, and the simulated
+// cuts compression wall time in a real campaign, and the simulated
 // node-scaling curve including the decompression I/O-contention cliff.
 package main
 
@@ -9,11 +9,8 @@ import (
 	"fmt"
 	"log"
 	"runtime"
-	"time"
 
 	"ocelot"
-	"ocelot/internal/executor"
-	"ocelot/internal/sz"
 )
 
 func main() {
@@ -30,23 +27,21 @@ func main() {
 	}
 	fmt.Printf("%d RTM snapshots, %v each\n", len(fields), fields[0].Dims)
 
-	// Real parallel compression at increasing worker counts.
+	// Real parallel compression at increasing worker counts: one in-process
+	// campaign per count, timing its compression stage. The barrier engine
+	// keeps decompression from competing with compression for cores.
 	maxWorkers := runtime.GOMAXPROCS(0)
 	for workers := 1; workers <= maxWorkers; workers *= 2 {
-		start := time.Now()
-		_, err := executor.Map(context.Background(), workers, len(fields),
-			func(ctx context.Context, i int) (int, error) {
-				cfg := sz.DefaultConfig(1.0) // abs bound on ~±12k wavefield
-				stream, _, err := sz.Compress(fields[i].Data, fields[i].Dims, cfg)
-				if err != nil {
-					return 0, err
-				}
-				return len(stream), nil
-			})
+		res, err := ocelot.Run(context.Background(), fields, ocelot.CampaignSpec{
+			RelErrorBound: 1e-4,
+			Workers:       workers,
+			Engine:        ocelot.EngineBarrier,
+			Transport:     ocelot.NopTransport{},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %2d workers: %.2fs\n", workers, time.Since(start).Seconds())
+		fmt.Printf("  %2d workers: compress %.2fs (ratio %.1f)\n", workers, res.CompressSec, res.Ratio)
 	}
 
 	// Simulated node-scaling on Anvil (Fig 9 shape).

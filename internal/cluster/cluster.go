@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"ocelot/internal/sim"
 )
@@ -92,7 +91,7 @@ func (m *Machine) parallelTime(sizes []int64, nodes int, mbpsPerCore float64, wi
 		costs[i] = float64(s) / 1e6 / mbpsPerCore
 		total += float64(s) / 1e6
 	}
-	cpuTime := lptMakespan(costs, cores)
+	cpuTime := sim.Makespan(costs, cores)
 	if !withIO {
 		return cpuTime
 	}
@@ -101,58 +100,6 @@ func (m *Machine) parallelTime(sizes []int64, nodes int, mbpsPerCore float64, wi
 		return ioTime
 	}
 	return cpuTime
-}
-
-// lptMakespan is longest-processing-time-first list scheduling, using a
-// min-heap of worker loads so large inventories stay O(n log w).
-func lptMakespan(costs []float64, workers int) float64 {
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(costs) {
-		workers = len(costs)
-	}
-	if workers == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(costs))
-	copy(sorted, costs)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	load := loadHeap(make([]float64, workers))
-	for _, c := range sorted {
-		// Pop-min, add, push-down.
-		load[0] += c
-		load.siftDown(0)
-	}
-	var mk float64
-	for _, v := range load {
-		if v > mk {
-			mk = v
-		}
-	}
-	return mk
-}
-
-// loadHeap is a minimal binary min-heap over worker loads.
-type loadHeap []float64
-
-func (h loadHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h[l] < h[min] {
-			min = l
-		}
-		if r < n && h[r] < h[min] {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
 }
 
 // Standard returns the calibrated testbed machines (paper Table III).

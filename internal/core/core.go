@@ -1,5 +1,5 @@
 // Package core is the Ocelot framework: it composes the quality predictor,
-// the parallel compression executor, the file-grouping optimizer, the
+// parallel compression on pipeline stages, the file-grouping optimizer, the
 // funcX-style orchestration fabric, and the Globus-style WAN transfer into
 // the end-to-end "compress and transfer" pipeline of the paper (Fig 1/2).
 //

@@ -1,8 +1,8 @@
-// Package lossless provides the byte-level lossless backends applied after
+// Package lossless provides the byte-level lossless backend applied after
 // entropy coding in the SZ-style pipeline (SZ3 uses zstd; we provide DEFLATE
-// from the standard library and a self-contained LZSS codec). Every stream is
-// prefixed with a one-byte backend tag plus the uncompressed length so
-// decompression is self-describing.
+// from the standard library, or no compression). Every stream is prefixed
+// with a one-byte backend tag plus the uncompressed length so decompression
+// is self-describing.
 package lossless
 
 import (
@@ -23,8 +23,6 @@ const (
 	None Backend = iota + 1
 	// Deflate uses compress/flate at the default level.
 	Deflate
-	// LZSS uses the package's own LZ77/LZSS implementation.
-	LZSS
 )
 
 // String implements fmt.Stringer.
@@ -34,8 +32,6 @@ func (b Backend) String() string {
 		return "none"
 	case Deflate:
 		return "deflate"
-	case LZSS:
-		return "lzss"
 	default:
 		return fmt.Sprintf("backend(%d)", uint8(b))
 	}
@@ -55,8 +51,6 @@ func Compress(data []byte, backend Backend) ([]byte, error) {
 		body = data
 	case Deflate:
 		body, release, err = deflateCompress(data)
-	case LZSS:
-		body = lzssCompress(data)
 	default:
 		return nil, fmt.Errorf("lossless: unknown backend %d", backend)
 	}
@@ -144,9 +138,9 @@ func Decompress(stream []byte) ([]byte, error) {
 	}
 	body := stream[9:]
 	// The size prefix is attacker-controlled until the body actually
-	// inflates. Deflate tops out near 1032:1 and LZSS near 1366:1, so a
-	// claimed size beyond 4096× the body is a lie — reject it before
-	// allocating (a crafted 50-byte stream must not demand terabytes).
+	// inflates. Deflate tops out near 1032:1, so a claimed size beyond
+	// 4096× the body is a lie — reject it before allocating (a crafted
+	// 50-byte stream must not demand terabytes).
 	if size > 4096*uint64(len(body))+64 {
 		return nil, ErrCorrupt
 	}
@@ -160,8 +154,6 @@ func Decompress(stream []byte) ([]byte, error) {
 		return out, nil
 	case Deflate:
 		return deflateDecompress(body, int(size))
-	case LZSS:
-		return lzssDecompress(body, int(size))
 	default:
 		return nil, fmt.Errorf("lossless: unknown backend %d: %w", backend, ErrCorrupt)
 	}
@@ -225,145 +217,6 @@ func deflateDecompress(body []byte, size int) ([]byte, error) {
 	out := make([]byte, size)
 	if _, err := io.ReadFull(r, out); err != nil {
 		return nil, fmt.Errorf("lossless: inflate: %w", ErrCorrupt)
-	}
-	return out, nil
-}
-
-// --- LZSS ---
-//
-// Token stream: a flag byte precedes every 8 tokens; bit i set means token i
-// is a (length, distance) match encoded as 3 bytes: 12-bit distance,
-// 4+8 = 12-bit length-3. Clear bits are literals.
-
-const (
-	lzWindow   = 1 << 12 // 4096-byte window (12-bit distance)
-	lzMinMatch = 3
-	lzMaxMatch = (1 << 12) - 1 + lzMinMatch
-	lzHashBits = 14
-	lzHashSize = 1 << lzHashBits
-)
-
-func lzHash(a, b, c byte) uint32 {
-	v := uint32(a) | uint32(b)<<8 | uint32(c)<<16
-	return (v * 2654435761) >> (32 - lzHashBits)
-}
-
-func lzssCompress(data []byte) []byte {
-	out := make([]byte, 0, len(data)/2+16)
-	var head [lzHashSize]int32
-	for i := range head {
-		head[i] = -1
-	}
-	prev := make([]int32, len(data))
-
-	var flagPos int
-	var flagBit uint
-	emitFlagByte := func() {
-		flagPos = len(out)
-		out = append(out, 0)
-		flagBit = 0
-	}
-	emitFlagByte()
-
-	i := 0
-	for i < len(data) {
-		if flagBit == 8 {
-			emitFlagByte()
-		}
-		bestLen, bestDist := 0, 0
-		if i+lzMinMatch <= len(data) {
-			h := lzHash(data[i], data[i+1], data[i+2])
-			cand := head[h]
-			tries := 16
-			for cand >= 0 && tries > 0 && int(cand) >= i-lzWindow+1 {
-				c := int(cand)
-				if data[c] == data[i] {
-					l := matchLen(data, c, i)
-					if l > bestLen {
-						bestLen, bestDist = l, i-c
-					}
-				}
-				cand = prev[c]
-				tries--
-			}
-			prev[i] = head[h]
-			head[h] = int32(i)
-		}
-		if bestLen >= lzMinMatch {
-			if bestLen > lzMaxMatch {
-				bestLen = lzMaxMatch
-			}
-			out[flagPos] |= 1 << flagBit
-			l := bestLen - lzMinMatch
-			out = append(out,
-				byte(bestDist),
-				byte((bestDist>>8)&0x0F)|byte((l&0x0F)<<4),
-				byte(l>>4))
-			// Insert hash entries for skipped positions.
-			for k := i + 1; k < i+bestLen && k+lzMinMatch <= len(data); k++ {
-				h := lzHash(data[k], data[k+1], data[k+2])
-				prev[k] = head[h]
-				head[h] = int32(k)
-			}
-			i += bestLen
-		} else {
-			out = append(out, data[i])
-			i++
-		}
-		flagBit++
-	}
-	return out
-}
-
-func matchLen(data []byte, a, b int) int {
-	n := 0
-	maxN := len(data) - b
-	if maxN > lzMaxMatch {
-		maxN = lzMaxMatch
-	}
-	for n < maxN && data[a+n] == data[b+n] {
-		n++
-	}
-	return n
-}
-
-func lzssDecompress(body []byte, size int) ([]byte, error) {
-	out := make([]byte, 0, size)
-	i := 0
-	for len(out) < size {
-		if i >= len(body) {
-			return nil, ErrCorrupt
-		}
-		flags := body[i]
-		i++
-		for bit := uint(0); bit < 8 && len(out) < size; bit++ {
-			if flags&(1<<bit) != 0 {
-				if i+3 > len(body) {
-					return nil, ErrCorrupt
-				}
-				b0, b1, b2 := body[i], body[i+1], body[i+2]
-				i += 3
-				dist := int(b0) | int(b1&0x0F)<<8
-				length := int(b1>>4) | int(b2)<<4
-				length += lzMinMatch
-				if dist == 0 || dist > len(out) {
-					return nil, ErrCorrupt
-				}
-				start := len(out) - dist
-				for k := 0; k < length; k++ {
-					out = append(out, out[start+k])
-				}
-			} else {
-				if i >= len(body) {
-					return nil, ErrCorrupt
-				}
-				out = append(out, body[i])
-				i++
-			}
-		}
-	}
-	if len(out) != size {
-		return nil, ErrCorrupt
 	}
 	return out, nil
 }

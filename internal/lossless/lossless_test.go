@@ -2,7 +2,11 @@ package lossless
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -41,9 +45,17 @@ func TestRoundTripAllBackends(t *testing.T) {
 	random := make([]byte, 4096)
 	rng.Read(random)
 	inputs["random"] = random
+	// A constant 1 MiB run deflates near 1000:1, close to the decoder's
+	// size-claim guard: a legitimate stream must still pass it.
+	inputs["zeros-1MiB"] = make([]byte, 1<<20)
+	field := make([]byte, 8*2048)
+	for i := 0; i < 2048; i++ {
+		binary.LittleEndian.PutUint64(field[8*i:], math.Float64bits(math.Sin(float64(i)/64)))
+	}
+	inputs["float64-field"] = field
 
 	for name, data := range inputs {
-		for _, b := range []Backend{None, Deflate, LZSS} {
+		for _, b := range []Backend{None, Deflate} {
 			t.Run(name+"/"+b.String(), func(t *testing.T) {
 				roundTrip(t, data, b)
 			})
@@ -53,14 +65,12 @@ func TestRoundTripAllBackends(t *testing.T) {
 
 func TestCompressesRepetitiveData(t *testing.T) {
 	data := bytes.Repeat([]byte("scientific data transfer "), 1000)
-	for _, b := range []Backend{Deflate, LZSS} {
-		enc, err := Compress(data, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(enc) >= len(data)/2 {
-			t.Errorf("%v: weak compression: %d -> %d", b, len(data), len(enc))
-		}
+	enc, err := Compress(data, Deflate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(enc) >= len(data)/2 {
+		t.Errorf("weak compression: %d -> %d", len(data), len(enc))
 	}
 }
 
@@ -68,7 +78,7 @@ func TestRandomDataFallsBackToNone(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	data := make([]byte, 8192)
 	rng.Read(data)
-	enc, err := Compress(data, LZSS)
+	enc, err := Compress(data, Deflate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +96,12 @@ func TestDecompressCorrupt(t *testing.T) {
 		{1},
 		{99, 0, 0, 0, 0, 0, 0, 0, 0}, // unknown backend
 		{byte(None), 10, 0, 0, 0, 0, 0, 0, 0, 1, 2},   // size mismatch
-		{byte(LZSS), 10, 0, 0, 0, 0, 0, 0, 0},         // truncated body
+		{3, 10, 0, 0, 0, 0, 0, 0, 0},                  // unknown backend tag 3
 		{byte(Deflate), 4, 0, 0, 0, 0, 0, 0, 0, 0xFF}, // invalid deflate
 	}
 	for i, c := range cases {
-		if _, err := Decompress(c); err == nil {
-			t.Errorf("case %d: want error", i)
+		if _, err := Decompress(c); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("case %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
 }
@@ -103,7 +113,7 @@ func TestUnknownBackendCompress(t *testing.T) {
 }
 
 func TestBackendString(t *testing.T) {
-	if None.String() != "none" || Deflate.String() != "deflate" || LZSS.String() != "lzss" {
+	if None.String() != "none" || Deflate.String() != "deflate" {
 		t.Fatal("bad String values")
 	}
 	if Backend(42).String() == "" {
@@ -111,48 +121,57 @@ func TestBackendString(t *testing.T) {
 	}
 }
 
-func TestLZSSQuick(t *testing.T) {
-	f := func(seed int64, n uint16, rep uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		// Mix of random and repeated segments.
-		var data []byte
-		remaining := int(n)
-		for remaining > 0 {
-			seg := rng.Intn(remaining) + 1
-			if rng.Float64() < 0.5 {
-				chunk := make([]byte, seg)
-				rng.Read(chunk)
-				data = append(data, chunk...)
-			} else {
-				unit := make([]byte, rng.Intn(7)+1)
-				rng.Read(unit)
-				for len(data) < len(data)+seg && seg > 0 {
-					take := len(unit)
-					if take > seg {
-						take = seg
+func TestRoundTripQuick(t *testing.T) {
+	for _, b := range []Backend{None, Deflate} {
+		t.Run(b.String(), func(t *testing.T) {
+			f := func(seed int64, n uint16) bool {
+				rng := rand.New(rand.NewSource(seed))
+				// Mix of random and repeated segments.
+				data := make([]byte, 0, int(n))
+				for len(data) < int(n) {
+					seg := rng.Intn(int(n)-len(data)) + 1
+					if rng.Float64() < 0.5 {
+						chunk := make([]byte, seg)
+						rng.Read(chunk)
+						data = append(data, chunk...)
+						continue
 					}
-					data = append(data, unit[:take]...)
-					seg -= take
+					unit := make([]byte, rng.Intn(7)+1)
+					rng.Read(unit)
+					for i := 0; i < seg; i++ {
+						data = append(data, unit[i%len(unit)])
+					}
 				}
+				enc, err := Compress(data, b)
+				if err != nil {
+					return false
+				}
+				dec, err := Decompress(enc)
+				return err == nil && bytes.Equal(dec, data)
 			}
-			remaining -= seg
-			if seg > 0 {
-				remaining -= 0
+			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+				t.Fatal(err)
 			}
-			remaining = int(n) - len(data)
-		}
-		enc, err := Compress(data, LZSS)
-		if err != nil {
-			return false
-		}
-		dec, err := Decompress(enc)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(dec, data)
+		})
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+}
+
+// A size prefix past 4096× the body is more than deflate could inflate
+// to, so it is rejected before the decoder allocates for it.
+func TestDecompressRejectsOversizedClaim(t *testing.T) {
+	const claim = 64 << 20
+	stream := make([]byte, 9+16)
+	stream[0] = byte(Deflate)
+	binary.LittleEndian.PutUint64(stream[1:9], claim)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decompress(stream)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= claim/2 {
+		t.Fatalf("allocated %d bytes for a %d-byte stream", grew, len(stream))
 	}
 }
 
@@ -162,17 +181,6 @@ func BenchmarkDeflate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Compress(data, Deflate); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLZSS(b *testing.B) {
-	data := bytes.Repeat([]byte("ocelot transfer pipeline "), 4096)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, LZSS); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"ocelot/internal/executor"
 	"ocelot/internal/obs"
 )
 
@@ -300,26 +299,51 @@ func Emit[T any](g *Group, buffer int, items []T) <-chan T {
 func Stage[I, O any](g *Group, cfg Config, in <-chan I, fn func(ctx context.Context, v I) (O, error)) <-chan O {
 	cfg = cfg.withDefaults()
 	rec := g.newStage(cfg)
-	timed := func(ctx context.Context, v I) (O, error) {
-		t0 := g.now()
-		o, err := fn(ctx, v)
-		rec.record(t0, g.now())
-		if err != nil {
-			// Record the failure before the stage's output channel can
-			// close: downstream stages must see a cancelled group, not a
-			// cleanly-exhausted input, or their flush would run on
-			// partial state and mask the root cause.
-			g.fail(fmt.Errorf("pipeline: stage %s: %w", cfg.Name, err))
+	out := make(chan O, cfg.Buffer)
+	var workers sync.WaitGroup
+	worker := func() {
+		defer workers.Done()
+		for {
+			select {
+			case <-g.ctx.Done():
+				return
+			case v, ok := <-in:
+				if !ok {
+					return
+				}
+				t0 := g.now()
+				o, err := fn(g.ctx, v)
+				rec.record(t0, g.now())
+				if err != nil {
+					// Record the failure before the stage's output channel
+					// can close: downstream stages must see a cancelled
+					// group, not a cleanly-exhausted input, or their flush
+					// would run on partial state and mask the root cause.
+					g.fail(fmt.Errorf("pipeline: stage %s: %w", cfg.Name, err))
+					return
+				}
+				select {
+				case <-g.ctx.Done():
+					return
+				case out <- o:
+				}
+			}
 		}
-		return o, err
 	}
-	out, wait := executor.StreamMap(g.ctx, cfg.Workers, cfg.Buffer, in, timed)
+	workers.Add(cfg.Workers)
+	for w := 0; w < cfg.Workers; w++ {
+		go worker()
+	}
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		if err := wait(); err != nil {
+		workers.Wait()
+		// A parent cancellation surfaces from Wait even when this stage
+		// had nothing in flight; fail keeps an earlier root cause.
+		if err := g.ctx.Err(); err != nil {
 			g.fail(fmt.Errorf("pipeline: stage %s: %w", cfg.Name, err))
 		}
+		close(out)
 	}()
 	return out
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -125,6 +126,24 @@ func TestParentCancellation(t *testing.T) {
 	cancel()
 	if err := g.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// A stage whose input is never fed still reports a parent cancellation:
+// no item fails, so only the stage's own join can record the error.
+func TestIdleStageParentCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	g := NewGroup(ctx)
+	in := make(chan int) // never fed, never closed
+	out := Stage(g, Config{Name: "idle", Workers: 2}, in,
+		func(ctx context.Context, v int) (int, error) { return v, nil })
+	got := Collect(g, out)
+	cancel()
+	if err := g.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(*got) != 0 {
+		t.Fatalf("idle stage emitted %d items", len(*got))
 	}
 }
 
@@ -295,5 +314,195 @@ func TestReduceSkipsFlushAfterUpstreamError(t *testing.T) {
 	}
 	if len(*got) != 0 {
 		t.Errorf("reduce emitted %d items after upstream failure", len(*got))
+	}
+}
+
+func TestStageBoundedParallelism(t *testing.T) {
+	const workers = 3
+	g := NewGroup(context.Background())
+	var cur, peak atomic.Int64
+	out := Stage(g, Config{Name: "bounded", Workers: workers}, Emit(g, 0, make([]int, 50)),
+		func(ctx context.Context, v int) (int, error) {
+			n := cur.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			cur.Add(-1)
+			return v, nil
+		})
+	got := Collect(g, out)
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 50 {
+		t.Fatalf("got %d items, want 50", len(*got))
+	}
+	if p := peak.Load(); p > workers {
+		t.Fatalf("observed %d concurrent calls, limit %d", p, workers)
+	}
+}
+
+// A failing item stops the stage from taking further input: the remaining
+// items are never handed to fn.
+func TestStageErrorStopsFeeding(t *testing.T) {
+	g := NewGroup(context.Background())
+	boom := errors.New("boom")
+	items := make([]int, 1000)
+	for i := range items {
+		items[i] = i
+	}
+	var ran atomic.Int64
+	out := Stage(g, Config{Name: "fail", Workers: 2}, Emit(g, 0, items),
+		func(ctx context.Context, v int) (int, error) {
+			ran.Add(1)
+			if v == 3 {
+				return 0, boom
+			}
+			return v, nil
+		})
+	_ = Collect(g, out)
+	if err := g.Wait(); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if ran.Load() == int64(len(items)) {
+		t.Error("error should stop feeding items early")
+	}
+}
+
+func TestStageParentCancelStopsFeeding(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := NewGroup(ctx)
+	var ran atomic.Int64
+	out := Stage(g, Config{Name: "cancel", Workers: 2}, Emit(g, 0, make([]int, 1000)),
+		func(ctx context.Context, v int) (int, error) {
+			if ran.Add(1) == 5 {
+				cancel()
+			}
+			return v, nil
+		})
+	_ = Collect(g, out)
+	if err := g.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ran.Load() == 1000 {
+		t.Error("cancel should stop the stage")
+	}
+}
+
+func TestStageEmptyInput(t *testing.T) {
+	g := NewGroup(context.Background())
+	out := Stage(g, Config{Name: "empty", Workers: 4}, Emit[int](g, 0, nil),
+		func(ctx context.Context, v int) (int, error) {
+			t.Error("fn called on empty input")
+			return v, nil
+		})
+	got := Collect(g, out)
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 0 {
+		t.Fatalf("got %d items from empty input", len(*got))
+	}
+	s := g.Stats()[0]
+	if s.Items != 0 || s.WallSec != 0 || !s.FirstStart.IsZero() {
+		t.Fatalf("empty stage has timing: %+v", s)
+	}
+	if ov := Overlap(g.Stats()); ov != 0 {
+		t.Fatalf("Overlap = %g, want 0", ov)
+	}
+}
+
+// Non-positive worker counts mean one worker; positive counts are kept.
+func TestStageWorkerCounts(t *testing.T) {
+	for _, tc := range []struct{ workers, want int }{
+		{-3, 1}, {0, 1}, {1, 1}, {4, 4},
+	} {
+		t.Run(fmt.Sprint(tc.workers), func(t *testing.T) {
+			g := NewGroup(context.Background())
+			out := Stage(g, Config{Name: "w", Workers: tc.workers}, Emit(g, 0, []int{1, 2, 3, 4, 5}),
+				func(ctx context.Context, v int) (int, error) { return v, nil })
+			got := Collect(g, out)
+			if err := g.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if len(*got) != 5 {
+				t.Fatalf("got %d items, want 5", len(*got))
+			}
+			if w := g.Stats()[0].Workers; w != tc.want {
+				t.Fatalf("Workers = %d, want %d", w, tc.want)
+			}
+		})
+	}
+}
+
+// A stage reads from any channel, not only Emit: items arrive from an
+// outside producer that closes the channel when done.
+func TestStageDeliversExternalFeed(t *testing.T) {
+	g := NewGroup(context.Background())
+	in := make(chan int)
+	go func() {
+		defer close(in)
+		for i := 0; i < 50; i++ {
+			in <- i
+		}
+	}()
+	out := Stage(g, Config{Name: "square", Workers: 4, Buffer: 2}, in,
+		func(ctx context.Context, v int) (int, error) { return v * v, nil })
+	got := Collect(g, out)
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var sum, want int
+	for _, v := range *got {
+		sum += v
+	}
+	for i := 0; i < 50; i++ {
+		want += i * i
+	}
+	if sum != want {
+		t.Fatalf("sum = %d, want %d", sum, want)
+	}
+}
+
+// An error aborts the stage even when the producer is outside the group;
+// Wait returns the root cause without waiting for the producer to finish.
+func TestStageErrorAbortsExternalFeed(t *testing.T) {
+	g := NewGroup(context.Background())
+	boom := errors.New("boom")
+	in := make(chan int)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		defer close(in)
+		for i := 0; i < 1000; i++ {
+			select {
+			case in <- i:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	out := Stage(g, Config{Name: "fail", Workers: 2}, in,
+		func(ctx context.Context, v int) (int, error) {
+			if v == 3 {
+				return 0, boom
+			}
+			return v, nil
+		})
+	_ = Collect(g, out)
+	done := make(chan error, 1)
+	go func() { done <- g.Wait() }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want %v", err, boom)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stage did not abort on error")
 	}
 }

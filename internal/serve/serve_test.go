@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"testing"
 	"time"
 
@@ -304,10 +305,28 @@ func TestTenantQuotaAdmission(t *testing.T) {
 	}
 }
 
+// gateTransport holds every send until release is closed, so a test can
+// keep a campaign in flight for as long as it needs.
+type gateTransport struct{ release chan struct{} }
+
+func (g *gateTransport) Name() string { return "gate" }
+
+func (g *gateTransport) Send(ctx context.Context, name string, data []byte) (float64, error) {
+	select {
+	case <-g.release:
+		return 0, nil
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
 // Priorities order a tenant's own queue: with one running slot, a later
-// high-priority submission runs before an earlier low-priority one.
+// high-priority submission runs before an earlier low-priority one. The
+// blocker's sends wait on a gate opened only once both are queued, so it
+// cannot finish and free the slot while low is the only job waiting.
 func TestPriorityOrdering(t *testing.T) {
-	sched := NewScheduler(Config{MaxRunning: 1})
+	gate := &gateTransport{release: make(chan struct{})}
+	sched := NewScheduler(Config{MaxRunning: 1, Transport: gate})
 	defer sched.Close()
 
 	spec := core.CampaignSpec{RelErrorBound: 1e-3, Workers: 1, GroupParam: 1}
@@ -328,25 +347,23 @@ func TestPriorityOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(gate.release)
 
-	order := make(chan string, 3)
-	for name, j := range map[string]*Job{"blocker": blocker, "low": low, "high": high} {
-		go func(name string, j *Job) {
-			<-j.Done()
-			order <- name
-		}(name, j)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	got := make([]string, 0, 3)
-	for len(got) < 3 {
+	jobs := map[string]*Job{"blocker": blocker, "low": low, "high": high}
+	timeout := time.After(30 * time.Second)
+	for name, j := range jobs {
 		select {
-		case n := <-order:
-			got = append(got, n)
-		case <-ctx.Done():
-			t.Fatalf("jobs not all terminal; completion order so far %v", got)
+		case <-j.Done():
+		case <-timeout:
+			t.Fatalf("job %s not terminal", name)
 		}
 	}
+	// With one slot, a job starts only after the previous one's done
+	// channel has closed, so start order is completion order. Reading it
+	// from the start stamps, not from watcher goroutines, keeps two jobs
+	// that finish microseconds apart from being observed out of order.
+	got := []string{"blocker", "low", "high"}
+	sort.Slice(got, func(a, b int) bool { return jobs[got[a]].started.Before(jobs[got[b]].started) })
 	pos := map[string]int{}
 	for i, n := range got {
 		pos[n] = i

@@ -9,8 +9,8 @@
 //     codec; streams decode transparently by magic;
 //   - the paper's compression-quality predictor: feature extraction plus
 //     decision-tree models for compression ratio, speed and PSNR;
-//   - a parallel compression executor, file-grouping optimizer, and
-//     node-waiting sentinel;
+//   - parallel compression on the campaign's pipeline stages, a
+//     file-grouping optimizer, and a node-waiting sentinel;
 //   - calibrated models of the paper's testbed (Anvil/Bebop/Cori machines,
 //     Globus-style WAN links) for end-to-end what-if simulation;
 //   - synthetic generators for the paper's seven scientific datasets.

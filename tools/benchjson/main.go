@@ -22,12 +22,14 @@
 //     escapes must be zero), retransmit ledger, and bound-guarantee
 //     quarantine coverage.
 //
-// Usage:
+// Each file is one row of the artifacts table below, produced by the
+// experiments driver of the same ID. Usage:
 //
-//	go run ./tools/benchjson [-shrink N] [-seed S] [-out BENCH_codecs.json] [-hotpath-out BENCH_hotpath.json] [-serve-out BENCH_serve.json] [-resume-out BENCH_resume.json] [-obs-out BENCH_obs.json] [-integrity-out BENCH_integrity.json]
+//	go run ./tools/benchjson [-shrink N] [-seed S] [-only "ServeFairness,ObsOverhead"]
 //
-// Passing an empty string for either output path skips that artifact. The
-// Makefile's bench-json target is the canonical invocation.
+// -only takes comma-separated driver IDs and regenerates just those files
+// (default: all six). The Makefile's bench-json target is the canonical
+// invocation (`make bench-json ONLY=...` passes -only through).
 package main
 
 import (
@@ -37,6 +39,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"ocelot/internal/experiments"
@@ -56,6 +59,25 @@ type report struct {
 	ElapsedMS float64            `json:"elapsedMs"`
 	Values    map[string]float64 `json:"values"`
 	Keys      []string           `json:"keys"` // sorted, for stable diffs
+}
+
+// artifact is one tracked BENCH file: the experiments driver that writes
+// it and the headline values echoed on stdout after writing.
+type artifact struct {
+	id       string // experiments.Drivers() ID
+	file     string
+	headline []string
+	// fn is the driver, bound by selectArtifacts.
+	fn func(experiments.Scale) (*experiments.Result, error)
+}
+
+var artifacts = []artifact{
+	{id: "CodecShootout", file: "BENCH_codecs.json", headline: []string{"speedup_szx", "szx_share_fast", "szx_share_slow"}},
+	{id: "HotPath", file: "BENCH_hotpath.json", headline: []string{"speedup_sz3_decompress", "speedup_sz3_compress"}},
+	{id: "ServeFairness", file: "BENCH_serve.json", headline: []string{"jain", "aggregate_mbps", "link_mbps", "cancel_latency_sec"}},
+	{id: "FaultResume", file: "BENCH_resume.json", headline: []string{"resume_wall_sec", "full_wall_sec", "resent_fraction", "flap_retries"}},
+	{id: "ObsOverhead", file: "BENCH_obs.json", headline: []string{"overhead_frac", "enabled_spans", "metrics_series"}},
+	{id: "Integrity", file: "BENCH_integrity.json", headline: []string{"corrupt_groups", "retransmits", "silent_escapes", "degraded_fields"}},
 }
 
 func main() {
@@ -100,72 +122,65 @@ func writeArtifact(fn func(experiments.Scale) (*experiments.Result, error),
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
-	shrink := fs.Int("shrink", 24, "dataset shrink factor for the shootout")
+	shrink := fs.Int("shrink", 24, "dataset shrink factor")
 	seed := fs.Int64("seed", 42, "experiment seed")
-	out := fs.String("out", "BENCH_codecs.json", "codec shootout output path (empty = skip)")
-	hotOut := fs.String("hotpath-out", "BENCH_hotpath.json", "entropy hot-path output path (empty = skip)")
-	serveOut := fs.String("serve-out", "BENCH_serve.json", "multi-tenant serve fairness output path (empty = skip)")
-	resumeOut := fs.String("resume-out", "BENCH_resume.json", "fault-tolerance crash-resume output path (empty = skip)")
-	obsOut := fs.String("obs-out", "BENCH_obs.json", "observability overhead output path (empty = skip)")
-	integrityOut := fs.String("integrity-out", "BENCH_integrity.json", "end-to-end integrity output path (empty = skip)")
+	only := fs.String("only", "", "comma-separated driver IDs to regenerate (default: every tracked artifact)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *out != "" {
-		res, err := writeArtifact(experiments.CodecShootout, *out, *shrink, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: %d metrics (szx speedup %.1fx, szx share fast/slow %.2f/%.2f)\n",
-			*out, len(res.Values), res.Values["speedup_szx"],
-			res.Values["szx_share_fast"], res.Values["szx_share_slow"])
+	rows, err := selectArtifacts(*only)
+	if err != nil {
+		return err
 	}
-	if *hotOut != "" {
-		res, err := writeArtifact(experiments.HotPath, *hotOut, *shrink, *seed)
+	for _, a := range rows {
+		res, err := writeArtifact(a.fn, a.file, *shrink, *seed)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", a.id, err)
 		}
-		fmt.Printf("wrote %s: %d metrics (sz3 decompress %.2fx, compress %.2fx vs pre-overhaul)\n",
-			*hotOut, len(res.Values), res.Values["speedup_sz3_decompress"],
-			res.Values["speedup_sz3_compress"])
-	}
-	if *serveOut != "" {
-		res, err := writeArtifact(experiments.ServeFairness, *serveOut, *shrink, *seed)
-		if err != nil {
-			return err
+		parts := make([]string, len(a.headline))
+		for i, k := range a.headline {
+			parts[i] = fmt.Sprintf("%s %.4g", k, res.Values[k])
 		}
-		fmt.Printf("wrote %s: %d metrics (Jain %.3f, aggregate %.2f of %.2f MB/s, cancel %.3fs)\n",
-			*serveOut, len(res.Values), res.Values["jain"],
-			res.Values["aggregate_mbps"], res.Values["link_mbps"],
-			res.Values["cancel_latency_sec"])
-	}
-	if *resumeOut != "" {
-		res, err := writeArtifact(experiments.FaultResume, *resumeOut, *shrink, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: %d metrics (resume %.3fs vs full %.3fs, resent %.0f%%, %d flap retries)\n",
-			*resumeOut, len(res.Values), res.Values["resume_wall_sec"], res.Values["full_wall_sec"],
-			res.Values["resent_fraction"]*100, int(res.Values["flap_retries"]))
-	}
-	if *obsOut != "" {
-		res, err := writeArtifact(experiments.ObsOverhead, *obsOut, *shrink, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: %d metrics (overhead %+.2f%%, %d spans, %d series enabled)\n",
-			*obsOut, len(res.Values), res.Values["overhead_frac"]*100,
-			int(res.Values["enabled_spans"]), int(res.Values["metrics_series"]))
-	}
-	if *integrityOut != "" {
-		res, err := writeArtifact(experiments.Integrity, *integrityOut, *shrink, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: %d metrics (%d corrupt groups recovered, %d retransmits, %.0f silent escapes, %d fields quarantined)\n",
-			*integrityOut, len(res.Values), int(res.Values["corrupt_groups"]),
-			int(res.Values["retransmits"]), res.Values["silent_escapes"],
-			int(res.Values["degraded_fields"]))
+		fmt.Printf("wrote %s: %d metrics (%s)\n", a.file, len(res.Values), strings.Join(parts, ", "))
 	}
 	return nil
+}
+
+// selectArtifacts resolves the -only list (empty = all) against the
+// artifacts table, binding each row to its experiments driver. Unknown or
+// untracked IDs are an error, as is a row whose driver no longer exists.
+func selectArtifacts(only string) ([]artifact, error) {
+	fns := map[string]func(experiments.Scale) (*experiments.Result, error){}
+	for _, d := range experiments.Drivers() {
+		fns[d.ID] = d.Fn
+	}
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			wanted[strings.ToLower(id)] = true
+		}
+	}
+	all := len(wanted) == 0
+	var out []artifact
+	for _, a := range artifacts {
+		fn, ok := fns[a.id]
+		if !ok {
+			return nil, fmt.Errorf("artifact %s has no experiments driver", a.id)
+		}
+		key := strings.ToLower(a.id)
+		if all || wanted[key] {
+			a.fn = fn
+			out = append(out, a)
+			delete(wanted, key)
+		}
+	}
+	if len(wanted) > 0 {
+		var ids []string
+		for id := range wanted {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		return nil, fmt.Errorf("-only: not a tracked artifact: %s", strings.Join(ids, ", "))
+	}
+	return out, nil
 }

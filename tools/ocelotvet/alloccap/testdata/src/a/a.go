@@ -140,7 +140,7 @@ func OKIteratorLoop(data []byte) []byte {
 }
 
 // OKCheckedHelper sanitizes before handing the count to the helper, so
-// the helper's allocation is caller-validated (the lzss pattern).
+// the helper's allocation is caller-validated (the lossless deflate pattern).
 func OKCheckedHelper(stream []byte) []byte {
 	size := int(binary.LittleEndian.Uint32(stream))
 	if size > 4096*len(stream) {
